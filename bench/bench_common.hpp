@@ -36,6 +36,10 @@ struct bfs_measurement {
   std::uint64_t max_rank_delivered = 0;  ///< bottleneck-rank visitor load
   std::uint64_t total_delivered = 0;
   std::uint64_t ghost_filtered = 0;
+  std::uint64_t cache_filtered = 0;  ///< pushes dropped by the send cache
+  /// Records handed to the mailbox, all ranks (inline local deliveries
+  /// never reach it): the traffic that goes out on the wire.
+  std::uint64_t total_records_sent = 0;
   /// Bottleneck-rank mailbox traffic (records originated + relayed): the
   /// network analogue of max_rank_delivered.  A partitioner can balance
   /// delivered visitors yet still overload one rank's send path.
@@ -83,6 +87,9 @@ bfs_measurement measure_bfs(Graph& g, graph::vertex_locator source,
   m.total_delivered =
       c.all_reduce(bfs.stats.visitors_delivered, std::plus<>());
   m.ghost_filtered = c.all_reduce(bfs.stats.ghost_filtered, std::plus<>());
+  m.cache_filtered = c.all_reduce(bfs.stats.cache_filtered, std::plus<>());
+  m.total_records_sent =
+      c.all_reduce(bfs.stats.mailbox.records_sent, std::plus<>());
   m.max_rank_msgs = c.all_reduce(
       bfs.stats.mailbox.records_sent + bfs.stats.mailbox.records_forwarded,
       [](std::uint64_t a, std::uint64_t b) { return a > b ? a : b; });

@@ -2,9 +2,9 @@
 /// to 131K cores of BG/P Intrepid, 2^18 vertices/core, 64.9 GTEPS at
 /// 2^35 vertices, within 19% of the best custom BG/P implementation).
 ///
-/// Here: 2^11 vertices per rank, p = 1..16 in-process ranks on one core.
-/// Wall-clock TEPS cannot speed up on one core, so the shape quantity is
-/// per-rank bottleneck work: near-flat max-rank delivered visitors and
+/// Here: 2^11 vertices per rank, p = 1..16 in-process rank threads on a
+/// 4-core box.  Wall-clock TEPS cannot speed up past p = 4, so the shape
+/// quantity is per-rank bottleneck work: near-flat max-rank delivered visitors and
 /// per-rank traversed edges == good weak scaling.  A level-synchronous
 /// comparison point is fig12 (edge-list vs 1D).
 #include "bench_common.hpp"
@@ -56,7 +56,7 @@ int main() {
                "max_rank_delivered) stays near-flat under weak scaling and "
                "the bottleneck/mean balance stays near 1 — the property "
                "that produced the paper's near-linear GTEPS curve.  "
-               "(Wall-clock TEPS on 1 physical core cannot scale; see "
-               "DESIGN.md §2.)\n";
+               "(Wall-clock TEPS cannot scale once p exceeds the core "
+               "count; see DESIGN.md §2.)\n";
   return 0;
 }

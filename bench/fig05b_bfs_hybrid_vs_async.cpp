@@ -126,8 +126,8 @@ int main() {
                "bottom-up (switch_at >= 0) and the hybrid claim_ratio "
                "drops well below 1 — the direction-optimizing traffic "
                "collapse that wins on low-diameter scale-free graphs.  "
-               "(Wall-clock on 1 physical core tracks total work loosely; "
-               "the claim counts are the machine-independent signal — "
+               "(Wall-clock tracks total work loosely once p exceeds the "
+               "core count; the claim counts are the machine-independent signal — "
                "DESIGN.md §2, §13.)\n";
   return 0;
 }

@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   t.row().add("visitors sent").add(stats.visitors_sent);
   t.row().add("visitors executed").add(stats.visitors_executed);
   t.row().add("filtered by ghosts").add(stats.ghost_filtered);
+  t.row().add("filtered by send cache").add(stats.cache_filtered);
   t.row().add("termination waves").add(std::uint64_t{stats.termination_waves});
   t.print(std::cout);
   return 0;

@@ -9,11 +9,14 @@
 ///                                             //   state; true = proceed
 ///   void visit(Graph&, slot, VState&, VQ&);   // main procedure; may push
 ///   bool operator<(const V&) const;           // local priority (min-heap)
-///   static constexpr bool uses_ghosts;        // imprecise filters OK?
+///   static constexpr bool uses_ghosts;        // monotone pre_visit, so
+///                                             //   sender-side filters OK?
 ///
 /// Flow, exactly as Algorithm 1:
 ///   push():          ghost pre_visit filter (if any) -> mailbox.send to
-///                    the vertex's master (min_owner) partition
+///                    the vertex's master (min_owner) partition; for
+///                    monotone visitors also inline delivery to local
+///                    masters and the send-cache filter (see push())
 ///   check_mailbox(): pre_visit on the local state; on success queue
 ///                    locally AND forward down the replica chain
 ///   global_empty():  Mattern counting quiescence detection over a tree
@@ -26,10 +29,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/local_queue.hpp"
@@ -52,14 +58,25 @@
 
 namespace sfg::core {
 
+/// queue_config::send_cache_slots default: next power of two of the local
+/// slot count, at least kSendCacheMinSlots.
+inline constexpr std::size_t kSendCacheAuto =
+    std::numeric_limits<std::size_t>::max();
+inline constexpr std::size_t kSendCacheMinSlots = 1024;
+
 struct queue_config {
   mailbox::topology topo = mailbox::topology::direct;
   std::size_t aggregation_bytes = 1 << 13;
   int data_tag = 1;
   int control_tag = 2;
-  /// Master toggle for ghost filtering (ANDed with Visitor::uses_ghosts);
-  /// lets benches measure ghosts on/off without touching the algorithm.
+  /// Master toggle for sender-side filtering — hub ghosts and the send
+  /// cache (ANDed with Visitor::uses_ghosts); lets benches measure the
+  /// filters on/off without touching the algorithm.
   bool use_ghosts = true;
+  /// Direct-mapped send-cache entries per rank (see visitor_queue::push):
+  /// kSendCacheAuto sizes it from the rank's slot count, 0 turns it off,
+  /// any other value is rounded up to a power of two.
+  std::size_t send_cache_slots = kSendCacheAuto;
   /// Local visitors executed between mailbox polls.
   int batch_size = 64;
   order_tiebreak tiebreak = order_tiebreak::vertex_locality;
@@ -79,10 +96,13 @@ struct queue_config {
 
 struct traversal_stats {
   std::uint64_t visitors_pushed = 0;     ///< push() calls
-  std::uint64_t visitors_sent = 0;       ///< records handed to the mailbox
-  std::uint64_t visitors_delivered = 0;  ///< records received + pre_visited
+  /// Records handed to the mailbox, plus inline local deliveries.
+  std::uint64_t visitors_sent = 0;
+  /// Records received + pre_visited, plus inline local deliveries.
+  std::uint64_t visitors_delivered = 0;
   std::uint64_t visitors_executed = 0;   ///< visit() calls
-  std::uint64_t ghost_filtered = 0;      ///< pushes suppressed by a ghost
+  std::uint64_t ghost_filtered = 0;      ///< pushes suppressed by a hub ghost
+  std::uint64_t cache_filtered = 0;      ///< pushes suppressed by the send cache
   std::uint64_t pre_visit_rejected = 0;  ///< deliveries gated out
   std::uint32_t termination_waves = 0;
   /// Mailbox-level view of this traversal: the mailbox's own stats struct
@@ -110,6 +130,7 @@ struct sfg::obs::stats_traits<sfg::core::traversal_stats> {
       stats_field{"visitors_delivered", &S::visitors_delivered},
       stats_field{"visitors_executed", &S::visitors_executed},
       stats_field{"ghost_filtered", &S::ghost_filtered},
+      stats_field{"cache_filtered", &S::cache_filtered},
       stats_field{"pre_visit_rejected", &S::pre_visit_rejected},
       stats_field{"termination_waves", &S::termination_waves},
       stats_field{"mailbox", &S::mailbox},
@@ -137,40 +158,66 @@ class visitor_queue {
       : graph_(&g),
         state_(&state),
         cfg_(cfg),
-        mailbox_(g.comm(), {cfg.topo, cfg.aggregation_bytes, cfg.data_tag}) {}
+        mailbox_(g.comm(), {cfg.topo, cfg.aggregation_bytes, cfg.data_tag}) {
+    if constexpr (Visitor::uses_ghosts) {
+      if (cfg_.use_ghosts && cfg_.send_cache_slots != 0) {
+        const std::size_t n =
+            cfg_.send_cache_slots == kSendCacheAuto
+                ? std::max(g.num_slots(), kSendCacheMinSlots)
+                : cfg_.send_cache_slots;
+        send_cache_.assign(std::bit_ceil(n),
+                           cache_entry{kNoVertex, state.init()});
+        cache_mem_.set(send_cache_.capacity() * sizeof(cache_entry));
+      }
+    }
+  }
 
-  /// Paper Algorithm 1, PUSH: filter through a local ghost if present,
-  /// else (or on ghost pass) send toward the master partition.
+  /// Paper Algorithm 1, PUSH, plus sender-side filtering for monotone
+  /// visitors (Visitor::uses_ghosts).  Those take the first path that
+  /// applies:
+  ///   1. v's master is this rank: deliver inline (pre_visit on the real
+  ///      state, local enqueue, replica forward) with no mailbox record;
+  ///   2. v is a hub with a local ghost: the paper's ghost filter (§IV-B);
+  ///   3. any other remote v: the send cache, a direct-mapped table of
+  ///      {locator, State} holding the best value this rank already sent
+  ///      toward v — exactly what a ghost records.  A hit runs pre_visit on
+  ///      the cached copy and drops the visitor if it fails; a miss
+  ///      overwrites the entry from the state's init value first.  An
+  ///      eviction only costs a redundant send.
+  /// Everything else goes to the mailbox toward v's master.  Other
+  /// visitors (k-core, triangles, PageRank, ...) always take the mailbox:
+  /// inline delivery for them made triangle counting 2-7x slower.
+  ///
+  /// Like the ghosts, the cache assumes `state` only improves while this
+  /// queue lives; it is never cleared between traversals.
   ///
   /// Causal sampling (trace_context.hpp): 1-in-SFG_TRACE_SAMPLE pushes get
   /// a trace_ctx that rides with the visitor's record through every
   /// mailbox hop and replica forward; the flow opens here ('s') and closes
-  /// ('f') at exactly one downstream terminal — ghost suppression here,
-  /// pre_visit rejection, or acceptance at the end of the owner chain — so
-  /// Chrome/Perfetto draws the full cross-rank chain as one arrow path.
+  /// ('f') at exactly one downstream terminal — ghost or cache suppression
+  /// here, pre_visit rejection, or acceptance at the end of the owner
+  /// chain — so Chrome/Perfetto draws the full cross-rank chain as one
+  /// arrow path.
   void push(const Visitor& v) {
     ++stats_.visitors_pushed;
+    const int dest = graph_->master_rank(v.vertex);
     const obs::trace_ctx ctx =
         obs::sample_trace_ctx(graph_->rank(), v.vertex.bits());
     if (ctx != 0) {
       obs::trace_flow_begin("visitor.push", obs::ctx_flow_id(ctx),
-                            "visitor_flow", "dest",
-                            static_cast<double>(graph_->master_rank(v.vertex)));
+                            "visitor_flow", "dest", static_cast<double>(dest));
     }
     if constexpr (Visitor::uses_ghosts) {
-      if (cfg_.use_ghosts && graph_->has_local_ghost(v.vertex)) {
-        Visitor copy = v;
-        if (!copy.pre_visit(state_->ghost(graph_->ghost_slot(v.vertex)))) {
-          ++stats_.ghost_filtered;
-          if (ctx != 0) {
-            obs::trace_flow_end("visitor.ghost_filtered", obs::ctx_flow_id(ctx));
-          }
-          return;
-        }
+      if (dest == graph_->rank()) {
+        // Counted as sent and (inside) delivered: sent == delivered holds.
+        ++stats_.visitors_sent;
+        check_mailbox_visitor(v, ctx);
+        return;
       }
+      if (cfg_.use_ghosts && filtered_at_sender(v, ctx)) return;
     }
     ++stats_.visitors_sent;
-    mailbox_.send(graph_->master_rank(v.vertex), runtime::as_bytes_of(v), ctx);
+    mailbox_.send(dest, runtime::as_bytes_of(v), ctx);
   }
 
   /// Paper Algorithm 1, DO_TRAVERSAL: run to global quiescence.
@@ -356,6 +403,10 @@ class visitor_queue {
   [[nodiscard]] const mailbox::routed_mailbox& mail() const noexcept {
     return mailbox_;
   }
+  /// Send-cache entries (0 = off or not a monotone visitor).
+  [[nodiscard]] std::size_t send_cache_slots() const noexcept {
+    return send_cache_.size();
+  }
 
   /// Reset the per-traversal counters (mailbox cumulative counters are
   /// left alone: termination detection relies on them being monotonic).
@@ -486,6 +537,36 @@ class visitor_queue {
     return s;
   }
 
+  /// Paths 2 and 3 of push(): true if the hub ghost or the send cache
+  /// shows `v` cannot improve on what this rank already sent toward it.
+  bool filtered_at_sender(const Visitor& v, obs::trace_ctx ctx) {
+    if (const auto gslot = graph_->ghost_slot_of(v.vertex)) {
+      if (v.pre_visit(state_->ghost(*gslot))) return false;
+      ++stats_.ghost_filtered;
+      if (ctx != 0) {
+        obs::trace_flow_end("visitor.ghost_filtered", obs::ctx_flow_id(ctx));
+      }
+      return true;
+    }
+    if (send_cache_.empty()) return false;
+    const std::uint64_t bits = v.vertex.bits();
+    // Fold the owner bits down before the Fibonacci multiply, so that
+    // every locator bit reaches the index bits.
+    cache_entry& e = send_cache_[static_cast<std::size_t>(
+        ((bits ^ (bits >> 29)) * 0x9E3779B97F4A7C15ull) >> 32 &
+        (send_cache_.size() - 1))];
+    if (e.bits != bits) {
+      e.bits = bits;
+      e.state = state_->init();
+    }
+    if (v.pre_visit(e.state)) return false;
+    ++stats_.cache_filtered;
+    if (ctx != 0) {
+      obs::trace_flow_end("visitor.cache_filtered", obs::ctx_flow_id(ctx));
+    }
+    return true;
+  }
+
   /// Paper Algorithm 1, CHECK_MAILBOX body for one arriving visitor:
   /// pre_visit the real state; on success queue locally and forward to
   /// the next replica in the vertex's owner chain.
@@ -526,10 +607,22 @@ class visitor_queue {
     }
   }
 
+  using state_value =
+      std::remove_cvref_t<decltype(std::declval<State&>().local(0))>;
+  struct cache_entry {
+    std::uint64_t bits;
+    state_value state;
+  };
+  static constexpr std::uint64_t kNoVertex =
+      graph::vertex_locator::invalid().bits();
+
   Graph* graph_;
   State* state_;
   queue_config cfg_;
   mailbox::routed_mailbox mailbox_;
+  /// push() path 3; sized once in the constructor, empty when off.
+  std::vector<cache_entry> send_cache_;
+  obs::mem_tracker cache_mem_{obs::mem_subsystem::queue_buckets};
   /// Smallest (priority, tie-key) first; container per cfg_.impl — see
   /// core/local_queue.hpp for the bucket/heap split.
   local_queue<Visitor> local_queue_{cfg_.impl, cfg_.tiebreak};

@@ -217,12 +217,18 @@ class distributed_graph {
 
   // ---- ghosts (paper §IV-B) ----
 
-  [[nodiscard]] bool has_local_ghost(vertex_locator v) const {
-    return ghost_slot_.contains(v.bits());
+  /// The ghost slot standing in for remote hub `v`, if this rank keeps
+  /// one: a single hash probe on the push path.
+  [[nodiscard]] std::optional<std::size_t> ghost_slot_of(
+      vertex_locator v) const {
+    if (const auto it = ghost_slot_.find(v.bits()); it != ghost_slot_.end()) {
+      return it->second;
+    }
+    return std::nullopt;
   }
 
-  [[nodiscard]] std::size_t ghost_slot(vertex_locator v) const {
-    return ghost_slot_.at(v.bits());
+  [[nodiscard]] bool has_local_ghost(vertex_locator v) const {
+    return ghost_slot_of(v).has_value();
   }
 
   // ---- state factory ----

@@ -110,11 +110,13 @@ class edge_partitioner {
 /// against: everything ownership- or replica-related resolves through
 /// these operations, never through assumptions about vertex-id layout.
 /// Satisfied by distributed_graph<Store> (any partitioner) and graph_1d.
+/// `num_slots()` sizes the queue's per-rank send cache.
 template <typename G>
 concept partitioned_graph = requires(const G& g, const vertex_locator v,
                                      std::size_t s) {
   { g.rank() } -> std::convertible_to<int>;
   { g.size() } -> std::convertible_to<int>;
+  { g.num_slots() } -> std::convertible_to<std::size_t>;
   /// The rank a fresh visitor for v is mailed to (v's master partition).
   { g.master_rank(v) } -> std::convertible_to<int>;
   /// Replica chain: last rank, and the next chain rank after a given one.
@@ -122,9 +124,8 @@ concept partitioned_graph = requires(const G& g, const vertex_locator v,
   { g.next_owner_after(v, int{}) } -> std::convertible_to<int>;
   /// Local state slot for v, if this rank holds master/replica/sink state.
   { g.slot_of(v) } -> std::convertible_to<std::optional<std::size_t>>;
-  /// Ghost filter lookups (paper §IV-B).
-  { g.has_local_ghost(v) } -> std::convertible_to<bool>;
-  { g.ghost_slot(v) } -> std::convertible_to<std::size_t>;
+  /// Ghost filter lookup (paper §IV-B): v's local ghost slot, if any.
+  { g.ghost_slot_of(v) } -> std::convertible_to<std::optional<std::size_t>>;
 };
 
 }  // namespace sfg::graph

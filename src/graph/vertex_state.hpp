@@ -16,7 +16,7 @@ template <typename T>
 class vertex_state {
  public:
   vertex_state(std::size_t num_slots, std::size_t num_ghosts, T init)
-      : local_(num_slots, init), ghost_(num_ghosts, init) {}
+      : local_(num_slots, init), ghost_(num_ghosts, init), init_(init) {}
 
   [[nodiscard]] T& local(std::size_t slot) { return local_[slot]; }
   [[nodiscard]] const T& local(std::size_t slot) const { return local_[slot]; }
@@ -27,9 +27,15 @@ class vertex_state {
   [[nodiscard]] std::span<const T> locals() const { return local_; }
   [[nodiscard]] std::span<T> ghosts() { return ghost_; }
 
+  /// The value every slot and ghost started from.  A monotone visitor's
+  /// sender-side filters (ghosts, the queue's send cache) start a fresh
+  /// entry from it.
+  [[nodiscard]] const T& init() const { return init_; }
+
  private:
   std::vector<T> local_;
   std::vector<T> ghost_;
+  T init_;
 };
 
 }  // namespace sfg::graph
