@@ -35,15 +35,18 @@
 ///      rank is idle (mailbox drained, inbox empty — delayed/duplicated
 ///      fault packets included, same predicate as the visitor queue).
 ///
-/// Hybrid switching (SFG_BFS_ALPHA / SFG_BFS_BETA, Beamer's heuristic):
-/// top-down → bottom-up when frontier edge mass m_f > m_u / α;
+/// Hybrid switching (hybrid_bfs_config::alpha / beta, Beamer's
+/// heuristic): top-down → bottom-up when frontier edge mass m_f > m_u / α;
 /// bottom-up → top-down when frontier size n_f < n / β.
+///
+/// Lifecycle and report go through the visitor queue's
+/// traversal_lifecycle, so an entry carries the same sections as an async
+/// one, plus "bfs" (the per-level direction trace).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -56,11 +59,9 @@
 #include "core/visitor_queue.hpp"
 #include "graph/partitioner.hpp"
 #include "mailbox/routed_mailbox.hpp"
-#include "obs/critpath.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
+#include "obs/mem.hpp"
 #include "obs/phase.hpp"
-#include "obs/run_report.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/comm.hpp"
@@ -94,34 +95,13 @@ inline std::optional<bfs_mode> parse_bfs_mode(std::string_view name) {
   return std::nullopt;
 }
 
-namespace detail {
-inline double env_f64(const char* name, double def) {
-  if (const char* e = std::getenv(name)) {
-    char* end = nullptr;
-    const double v = std::strtod(e, &end);
-    if (end != e && v > 0.0) return v;
-  }
-  return def;
-}
-}  // namespace detail
-
-/// α default 14 / β default 24: Beamer's published constants, which the
-/// bench sweep confirmed are not sensitive at this repo's scales.
-inline double default_bfs_alpha() {
-  static const double v = detail::env_f64("SFG_BFS_ALPHA", 14.0);
-  return v;
-}
-inline double default_bfs_beta() {
-  static const double v = detail::env_f64("SFG_BFS_BETA", 24.0);
-  return v;
-}
-
 struct hybrid_bfs_config {
   bfs_mode mode = bfs_mode::hybrid;
-  /// α/β heuristic knobs; <= 0 means "use SFG_BFS_ALPHA / SFG_BFS_BETA
-  /// (or the Beamer defaults)".
-  double alpha = 0.0;
-  double beta = 0.0;
+  /// α/β heuristic knobs.  The defaults are Beamer's published constants,
+  /// which the bench sweep confirmed are not sensitive at this repo's
+  /// scales.
+  double alpha = 14.0;
+  double beta = 24.0;
   /// Mailbox/topology/fault knobs, shared with the async queue so one
   /// chaos schedule drives both drivers.
   queue_config queue{};
@@ -189,20 +169,13 @@ class level_sync_bfs {
   level_sync_bfs(Graph& g, const hybrid_bfs_config& cfg)
       : graph_(&g),
         cfg_(cfg),
-        alpha_(cfg.alpha > 0 ? cfg.alpha : default_bfs_alpha()),
-        beta_(cfg.beta > 0 ? cfg.beta : default_bfs_beta()),
         mailbox_(g.comm(), {cfg.queue.topo, cfg.queue.aggregation_bytes,
                             cfg.queue.data_tag}),
         state_(g.template make_state<bfs_state>(bfs_state{})) {}
 
   mode_bfs_result<Graph> run(graph::vertex_locator source) {
     runtime::comm& c = graph_->comm();
-    const auto wall_start = std::chrono::steady_clock::now();
-    const obs::phase_stats phase_start = obs::phase_snapshot();
-    obs::flight_record(obs::flight_kind::traversal_begin, 1,
-                       static_cast<std::uint64_t>(c.size()));
-    obs::span_mark(obs::span_kind::trav_begin, 1,
-                   static_cast<std::uint64_t>(c.size()));
+    traversal_lifecycle life(c, mailbox_, 1);
 
     // Frontier bit space: one bit per local slot, locator-addressed
     // ((owner, local_id) → word_off_[owner] + local_id/64).  Sizes are
@@ -238,6 +211,7 @@ class level_sync_bfs {
     std::int64_t switch_level = -1;
     bool bottom_up = cfg_.mode == bfs_mode::bottomup;
     std::uint64_t prev_sent = 0;
+    std::uint64_t max_frontier = 0;  // straggler attribution: peak backlog
     const bool chaos_on =
         cfg_.queue.faults.enabled() && cfg_.queue.faults.stall_prob > 0;
     util::chaos_stream chaos(cfg_.queue.faults.seed,
@@ -284,9 +258,9 @@ class level_sync_bfs {
             bottom_up = !left_bottom_up_ && totals.unvisited_edges > 0 &&
                         static_cast<double>(totals.edges) >
                             static_cast<double>(totals.unvisited_edges) /
-                                alpha_;
+                                cfg_.alpha;
           } else if (static_cast<double>(totals.vertices) <
-                     static_cast<double>(graph_->total_vertices()) / beta_) {
+                     static_cast<double>(graph_->total_vertices()) / cfg_.beta) {
             bottom_up = false;
             left_bottom_up_ = true;
           }
@@ -306,6 +280,7 @@ class level_sync_bfs {
       level_ = level;
       flip(cur_, next_);
       next_mass_ = 0;
+      max_frontier = std::max<std::uint64_t>(max_frontier, cur_.count());
 
       // (3) Scan + (4) counting quiescence over the claims.
       if (chaos_on && chaos.decide(cfg_.queue.faults.stall_prob)) {
@@ -323,31 +298,16 @@ class level_sync_bfs {
                         level_sent - prev_sent});
       prev_sent = level_sent;
       obs::ts_poll();
+      obs::mem_pressure_poll();
     }
 
-    // Fold wall time, phases and mailbox deltas exactly like the visitor
-    // queue, so sfg_top / the metrics registry see one traversal either
-    // way.  (The mailbox is fresh per driver, so its cumulative stats ARE
-    // this traversal's delta.)
-    stats_.termination_waves += waves_;
-    obs::stats_add(stats_.mailbox, mailbox_.stats());
-    obs::stats_add(stats_.phase,
-                   obs::stats_delta(obs::phase_snapshot(), phase_start));
-    mode_bfs_result<Graph> result{std::move(state_), stats_, mailbox_.matrix(),
-                                  std::move(levels), switch_level};
-    last_wall_us_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-    obs::flight_record(obs::flight_kind::traversal_end,
-                       stats_.visitors_executed, last_wall_us_);
-    obs::span_mark(obs::span_kind::trav_end, 1,
-                   static_cast<std::uint64_t>(c.size()));
-    publish_metrics();
-    obs::ts_flush();
-    write_run_report(c, result);
-    c.barrier();
-    return result;
+    traversal_stats published{};  // the driver runs one traversal
+    life.finish(stats_, published, waves_, max_frontier,
+                [&](obs::json& entry) {
+                  entry["bfs"] = levels_json(levels, switch_level);
+                });
+    return {std::move(state_), stats_, mailbox_.matrix(), std::move(levels),
+            switch_level};
   }
 
  private:
@@ -452,78 +412,32 @@ class level_sync_bfs {
     }
   }
 
-  void publish_metrics() {
-    if (!obs::metrics_on() && !obs::ts_on()) return;
-    obs::stats_to_registry("traversal", stats_);
-    obs::metrics_registry::instance()
-        .get_histogram("traversal.rank_time_us")
-        .record_raw(last_wall_us_);
-  }
-
-  /// Mirror of visitor_queue::maybe_write_run_report with one extra
-  /// section: "bfs" records the per-level direction trace and the
+  /// The entry's "bfs" section: the per-level direction trace and the
   /// direction-switch level (what sfg_report_check --bfs-levels gates).
-  void write_run_report(runtime::comm& c,
-                        const mode_bfs_result<Graph>& result) {
-    const int want = c.broadcast(
-        static_cast<int>(c.rank() == 0 &&
-                         !obs::metrics_report_path().empty()),
-        0);
-    if (want == 0) return;
-    const std::vector<traversal_stats> all = c.all_gather(stats_);
-    const bool want_matrix = obs::comm_matrix_on();
-    obs::json matrix_rows;
-    if (want_matrix) matrix_rows = obs::gather_json(c, mailbox_.matrix_json());
-    const bool want_critpath = obs::spans_on();
-    obs::json span_fragments;
-    if (want_critpath) span_fragments = obs::gather_json(c, obs::span_rank_json());
-    if (c.rank() != 0) return;
-    obs::json entry = obs::json::object();
-    entry["ranks"] = static_cast<std::uint64_t>(all.size());
-    traversal_stats total{};
-    obs::json per_rank = obs::json::array();
-    for (const auto& s : all) {
-      obs::stats_add(total, s);
-      per_rank.push_back(obs::stats_to_json(s));
-    }
-    entry["total"] = obs::stats_to_json(total);
-    entry["per_rank"] = std::move(per_rank);
+  [[nodiscard]] obs::json levels_json(
+      const std::vector<bfs_level_stats>& levels,
+      std::int64_t switch_level) const {
     obs::json bfs = obs::json::object();
     bfs["mode"] = std::string(bfs_mode_name(cfg_.mode));
-    bfs["alpha"] = alpha_;
-    bfs["beta"] = beta_;
-    bfs["direction_switch_level"] =
-        static_cast<std::int64_t>(result.direction_switch_level);
-    obs::json levels = obs::json::array();
-    for (const auto& ls : result.levels) {
+    bfs["alpha"] = cfg_.alpha;
+    bfs["beta"] = cfg_.beta;
+    bfs["direction_switch_level"] = switch_level;
+    obs::json rows = obs::json::array();
+    for (const auto& ls : levels) {
       obs::json l = obs::json::object();
       l["level"] = ls.level;
       l["direction"] = std::string(ls.bottom_up ? "bottomup" : "topdown");
       l["frontier_vertices"] = ls.frontier_vertices;
       l["frontier_edges"] = ls.frontier_edges;
       l["claims_sent"] = ls.claims_sent;
-      levels.push_back(std::move(l));
+      rows.push_back(std::move(l));
     }
-    bfs["levels"] = std::move(levels);
-    entry["bfs"] = std::move(bfs);
-    if (want_matrix) {
-      obs::json cm = obs::json::object();
-      cm["schema"] = "sfg-comm-matrix/1";
-      cm["ranks"] = static_cast<std::uint64_t>(all.size());
-      cm["rows"] = std::move(matrix_rows);
-      entry["comm_matrix"] = std::move(cm);
-    }
-    if (want_critpath) {
-      obs::json cp = obs::critpath_analyze(span_fragments);
-      if (!cp.is_null()) entry["critpath"] = std::move(cp);
-    }
-    obs::append_traversal_report(std::move(entry));
+    bfs["levels"] = std::move(rows);
+    return bfs;
   }
 
   Graph* graph_;
   hybrid_bfs_config cfg_;
-  double alpha_;
-  double beta_;
   mailbox::routed_mailbox mailbox_;
   graph::vertex_state<bfs_state> state_;
   frontier cur_;
@@ -539,7 +453,6 @@ class level_sync_bfs {
   std::uint64_t next_mass_ = 0;
   std::uint64_t unvisited_mass_ = 0;
   std::uint32_t waves_ = 0;
-  std::uint64_t last_wall_us_ = 0;
   traversal_stats stats_;
 };
 

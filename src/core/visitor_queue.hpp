@@ -139,6 +139,218 @@ struct sfg::obs::stats_traits<sfg::core::traversal_stats> {
 
 namespace sfg::core {
 
+/// One traversal's lifecycle, shared by visitor_queue::do_traversal and
+/// the level-synchronous BFS driver (core/bfs_hybrid.hpp), so both drivers
+/// publish and report through one path:
+///   constructor — the begin marks: trace span, flight traversal_begin,
+///                 span trav_begin, RSS baseline, wall start, phase and
+///                 mailbox snapshots;
+///   finish()    — the end fold (mailbox/phase deltas and termination
+///                 waves into the driver's traversal_stats, end marks,
+///                 registry publish, final time-series sample), the
+///                 collective report entry, and the epoch barrier.
+/// With every lens off, finish() adds no collective beyond the report
+/// gate's broadcast and allocates nothing.
+class traversal_lifecycle {
+ public:
+  traversal_lifecycle(runtime::comm& c, const mailbox::routed_mailbox& mb,
+                      std::uint64_t ordinal)
+      : comm_(&c),
+        mailbox_(&mb),
+        ordinal_(ordinal),
+        wall_start_(std::chrono::steady_clock::now()),
+        mail_start_(mb.stats()),
+        // Phase attribution (obs/phase.hpp): the drivers' phase scopes
+        // partition the traversal's wall time; the delta from here to
+        // finish() is this traversal's share.
+        phase_start_(obs::phase_snapshot()) {
+    obs::flight_record(obs::flight_kind::traversal_begin, ordinal_,
+                       static_cast<std::uint64_t>(c.size()));
+    // Critical-path window marker (obs/span.hpp): the analyzer bounds its
+    // walk by the last begin/end pair in each rank's ring.
+    obs::span_mark(obs::span_kind::trav_begin, ordinal_,
+                   static_cast<std::uint64_t>(c.size()));
+    // Pin the RSS baseline before any traversal allocation (lazy EM frame
+    // fills, queue growth, mailbox arenas): the first sample ever becomes
+    // the baseline, so coverage measures accounted bytes against what the
+    // traversals actually grew, not against the binary + graph load.
+    if (obs::mem_on()) (void)obs::mem_sample_rss();
+  }
+  traversal_lifecycle(const traversal_lifecycle&) = delete;
+  traversal_lifecycle& operator=(const traversal_lifecycle&) = delete;
+
+  /// Collective: fold, publish, report, barrier.  `published` is what the
+  /// driver last folded into the registry — only the delta since then is
+  /// added, so counters stay exact when one driver runs several
+  /// traversals.  `max_depth` is this rank's peak local work backlog (the
+  /// straggler attribution).  `extra(entry)` runs on rank 0 only, after
+  /// the shared sections, and adds the driver's own sections.
+  template <typename Extra>
+  void finish(traversal_stats& stats, traversal_stats& published,
+              std::uint32_t waves, std::uint64_t max_depth, Extra&& extra) {
+    // Accumulate (never overwrite): every stats field stays monotonic
+    // across traversals, which the published delta relies on.
+    stats.termination_waves += waves;
+    obs::stats_add(stats.mailbox,
+                   obs::stats_delta(mailbox_->stats(), mail_start_));
+    obs::stats_add(stats.phase,
+                   obs::stats_delta(obs::phase_snapshot(), phase_start_));
+    const auto wall_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - wall_start_)
+            .count());
+    obs::flight_record(obs::flight_kind::traversal_end,
+                       stats.visitors_executed, wall_us);
+    obs::span_mark(obs::span_kind::trav_end, ordinal_,
+                   static_cast<std::uint64_t>(comm_->size()));
+    span_.set_arg("executed", static_cast<double>(stats.visitors_executed));
+    publish_metrics(stats, published, wall_us);
+    // Force a final time-series sample so a traversal shorter than
+    // SFG_TS_INTERVAL_MS still leaves at least one line per rank.
+    obs::ts_flush();
+    write_run_report(stats, {wall_us, max_depth, stats.visitors_executed},
+                     extra);
+    // Epoch boundary: without this, a fast rank could start a *new*
+    // traversal and its records would land in a slow rank's still-running
+    // old loop — consumed against the old counters and lost to the new
+    // ones, so the new traversal's sent/received totals would never
+    // balance (livelock).  Every rank has consumed all of this
+    // traversal's data before reaching the barrier, so afterwards all
+    // inboxes are empty.
+    comm_->barrier();
+  }
+
+ private:
+  /// Straggler inputs each rank contributes to the report.
+  struct rank_timing {
+    std::uint64_t wall_us;
+    std::uint64_t max_queue_depth;
+    std::uint64_t executed;
+  };
+
+  /// Fold this traversal's activity into the process-wide registry.
+  static void publish_metrics(const traversal_stats& stats,
+                              traversal_stats& published,
+                              std::uint64_t wall_us) {
+    // Runs for the sampler too: the time-series "totals" come from these
+    // registry counters, so a TS-only run still needs the fold.
+    if (!obs::metrics_on() && !obs::ts_on()) return;
+    obs::stats_to_registry("traversal", obs::stats_delta(stats, published));
+    published = stats;
+    // Every rank contributes its wall time, so the registry histogram's
+    // p50/p90/p99 spread *is* the traversal's imbalance at a glance.
+    obs::metrics_registry::instance()
+        .get_histogram("traversal.rank_time_us")
+        .record_raw(wall_us);
+    // Memory ledger gauges ride the same publish cadence (levels, not
+    // deltas, so re-publishing is idempotent).
+    obs::mem_publish_registry();
+  }
+
+  /// If a metrics report path is configured (SFG_METRICS or
+  /// set_metrics_report_path), gather every rank's traversal_stats and
+  /// lens fragments and have rank 0 append one entry to the report.
+  /// Collective: rank 0 decides, so all ranks agree even if the path is
+  /// toggled concurrently; the lens gates are process-wide (ranks are
+  /// threads), so all ranks agree on entering each gather too.
+  template <typename Extra>
+  void write_run_report(const traversal_stats& stats, rank_timing timing,
+                        Extra& extra) {
+    runtime::comm& c = *comm_;
+    const int want = c.broadcast(
+        static_cast<int>(c.rank() == 0 &&
+                         !obs::metrics_report_path().empty()),
+        0);
+    if (want == 0) return;
+    const std::vector<traversal_stats> all = c.all_gather(stats);
+    const std::vector<rank_timing> timings = c.all_gather(timing);
+    // Rank x rank traffic matrix (sfg-comm-matrix/1).
+    const bool want_matrix = obs::comm_matrix_on();
+    obs::json matrix_rows;
+    if (want_matrix) matrix_rows = obs::gather_json(c, mailbox_->matrix_json());
+    // Critical path (sfg-critpath/1): rank 0 analyzes every rank's ring.
+    const bool want_critpath = obs::spans_on();
+    obs::json span_fragments;
+    if (want_critpath) span_fragments = obs::gather_json(c, obs::span_rank_json());
+    // Memory attribution (sfg-mem/1): every rank ships its ledger
+    // fragment; rank 0 folds in the process ground truth (RSS, pressure).
+    const bool want_mem = obs::mem_on();
+    obs::json mem_rows;
+    if (want_mem) mem_rows = obs::gather_json(c, obs::mem_rank_json(c.rank()));
+    if (c.rank() != 0) return;
+    obs::json entry = obs::json::object();
+    entry["ranks"] = static_cast<std::uint64_t>(all.size());
+    traversal_stats total{};
+    obs::json per_rank = obs::json::array();
+    for (const auto& s : all) {
+      obs::stats_add(total, s);
+      per_rank.push_back(obs::stats_to_json(s));
+    }
+    entry["total"] = obs::stats_to_json(total);
+    entry["per_rank"] = std::move(per_rank);
+    entry["straggler"] = straggler_summary(timings);
+    if (want_matrix) {
+      obs::json cm = obs::json::object();
+      cm["schema"] = "sfg-comm-matrix/1";
+      cm["ranks"] = static_cast<std::uint64_t>(all.size());
+      cm["rows"] = std::move(matrix_rows);
+      entry["comm_matrix"] = std::move(cm);
+    }
+    if (want_critpath) {
+      // A ring that overflowed loses the window markers: say so, with the
+      // drop count, rather than leave the section out.
+      obs::json cp = obs::critpath_analyze(span_fragments);
+      entry["critpath"] = cp.is_null() ? obs::critpath_incomplete(span_fragments)
+                                       : std::move(cp);
+    }
+    if (want_mem) entry["mem"] = obs::mem_section_json(std::move(mem_rows));
+    extra(entry);
+    obs::append_traversal_report(std::move(entry));
+  }
+
+  /// Per-traversal imbalance summary (DESIGN.md §9): max/median/min rank
+  /// wall time, the imbalance ratio, and which rank was slowest with
+  /// enough attribution (work executed, peak queue depth) to say why.
+  static obs::json straggler_summary(const std::vector<rank_timing>& timing) {
+    std::vector<std::uint64_t> walls;
+    walls.reserve(timing.size());
+    for (const auto& t : timing) walls.push_back(t.wall_us);
+    std::vector<std::uint64_t> sorted = walls;
+    std::sort(sorted.begin(), sorted.end());
+    const std::uint64_t max_us = sorted.back();
+    const std::uint64_t min_us = sorted.front();
+    const std::uint64_t median_us = sorted[sorted.size() / 2];
+    const std::size_t slowest = static_cast<std::size_t>(
+        std::max_element(walls.begin(), walls.end()) - walls.begin());
+    obs::json s = obs::json::object();
+    s["max_rank_us"] = max_us;
+    s["median_rank_us"] = median_us;
+    s["min_rank_us"] = min_us;
+    s["imbalance"] = median_us == 0
+                         ? 1.0
+                         : static_cast<double>(max_us) /
+                               static_cast<double>(median_us);
+    s["slowest_rank"] = static_cast<std::uint64_t>(slowest);
+    obs::json attribution = obs::json::object();
+    attribution["wall_us"] = timing[slowest].wall_us;
+    attribution["max_queue_depth"] = timing[slowest].max_queue_depth;
+    attribution["executed"] = timing[slowest].executed;
+    s["slowest"] = std::move(attribution);
+    obs::json per_rank = obs::json::array();
+    for (const std::uint64_t w : walls) per_rank.push_back(w);
+    s["per_rank_wall_us"] = std::move(per_rank);
+    return s;
+  }
+
+  runtime::comm* comm_;
+  const mailbox::routed_mailbox* mailbox_;
+  std::uint64_t ordinal_;
+  obs::trace_span span_{"traversal", "core"};
+  std::chrono::steady_clock::time_point wall_start_;
+  mailbox::routed_mailbox::mailbox_stats mail_start_;
+  obs::phase_stats phase_start_;
+};
+
 template <typename Graph, typename Visitor, typename State>
 class visitor_queue {
   static_assert(std::is_trivially_copyable_v<Visitor>,
@@ -223,16 +435,9 @@ class visitor_queue {
   /// Paper Algorithm 1, DO_TRAVERSAL: run to global quiescence.
   /// Collective: all ranks must call (after pushing initial visitors).
   void do_traversal() {
-    obs::trace_span tspan("traversal", "core");
-    const auto wall_start = std::chrono::steady_clock::now();
-    const mailbox::routed_mailbox::mailbox_stats mail_start = mailbox_.stats();
-    // Phase attribution (obs/phase.hpp): everything inside the poll loop
-    // runs under a per-iteration `idle` scope; the specific phases (poll,
-    // visit, mbox_*, term, scan, io_wait) nest inside it and subtract
-    // their wall time from its self time, so `idle` ends up meaning
-    // exactly "spinning without attributable work".
-    const obs::phase_stats phase_start = obs::phase_snapshot();
-    runtime::tree_termination term(graph_->comm(), cfg_.control_tag);
+    runtime::comm& c = graph_->comm();
+    traversal_lifecycle life(c, mailbox_, ++traversal_ordinal_);
+    runtime::tree_termination term(c, cfg_.control_tag);
     const bool chaos_on = cfg_.faults.enabled() && cfg_.faults.stall_prob > 0;
     util::chaos_stream chaos(cfg_.faults.seed,
                              0x51A11u ^ static_cast<std::uint64_t>(
@@ -246,18 +451,6 @@ class visitor_queue {
       this->check_mailbox_visitor(v, ctx);
     };
 
-    runtime::comm& c = graph_->comm();
-    obs::flight_record(obs::flight_kind::traversal_begin, ++traversal_ordinal_,
-                       static_cast<std::uint64_t>(c.size()));
-    // Critical-path window marker (obs/span.hpp): the analyzer bounds its
-    // walk by the last begin/end pair in each rank's ring.
-    obs::span_mark(obs::span_kind::trav_begin, traversal_ordinal_,
-                   static_cast<std::uint64_t>(c.size()));
-    // Pin the RSS baseline before any traversal allocation (lazy EM frame
-    // fills, queue growth, mailbox arenas): the first sample ever becomes
-    // the baseline, so coverage measures accounted bytes against what the
-    // traversals actually grew, not against the binary + graph load.
-    if (obs::mem_on()) (void)obs::mem_sample_rss();
     // Live straggler gauges: this rank's queue depth, locally-known
     // in-flight records and termination epoch, refreshed every poll
     // iteration so the registry always shows who is dragging.  Handles are
@@ -281,6 +474,11 @@ class visitor_queue {
     for (;;) {
       bool done = false;
       {
+        // Everything in the loop body runs under this `idle` scope; the
+        // specific phases (poll, visit, mbox_*, term, scan, io_wait) nest
+        // inside it and subtract their wall time from its self time, so
+        // `idle` ends up meaning exactly "spinning without attributable
+        // work".
         const obs::phase_scope iter_scope(obs::phase::idle);
         // Injected rank stall: this rank sleeps mid-traversal while the
         // others keep running — the adversarial scheduling that quiescence
@@ -365,36 +563,8 @@ class visitor_queue {
       obs::mem_pressure_poll();
       if (done) break;
     }
-    // Accumulate (never overwrite): every stats_ field stays monotonic
-    // across traversals, which publish_metrics' delta logic relies on.
-    stats_.termination_waves += term.waves_completed();
-    obs::stats_add(stats_.mailbox,
-                   obs::stats_delta(mailbox_.stats(), mail_start));
-    obs::stats_add(stats_.phase,
-                   obs::stats_delta(obs::phase_snapshot(), phase_start));
-    last_wall_us_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-    last_max_depth_ = max_depth;
-    obs::flight_record(obs::flight_kind::traversal_end,
-                       stats_.visitors_executed, last_wall_us_);
-    obs::span_mark(obs::span_kind::trav_end, traversal_ordinal_,
-                   static_cast<std::uint64_t>(c.size()));
-    tspan.set_arg("executed", static_cast<double>(stats_.visitors_executed));
-    publish_metrics();
-    // Force a final time-series sample so a traversal shorter than
-    // SFG_TS_INTERVAL_MS still leaves at least one line per rank.
-    obs::ts_flush();
-    maybe_write_run_report(c);
-    // Epoch boundary: without this, a fast rank could start a *new*
-    // traversal and its records would land in a slow rank's still-running
-    // old loop — consumed against the old queue's counters and lost to
-    // the new one, so the new traversal's sent/received totals would
-    // never balance (livelock).  Every rank has consumed its DONE (and
-    // all data, by the counting invariant) before reaching this barrier,
-    // so afterwards all inboxes are empty.
-    c.barrier();
+    life.finish(stats_, published_, term.waves_completed(), max_depth,
+                [](obs::json&) {});
   }
 
   [[nodiscard]] const traversal_stats& stats() const noexcept {
@@ -416,127 +586,6 @@ class visitor_queue {
   }
 
  private:
-  /// Fold this traversal's activity into the process-wide registry.  Only
-  /// the delta since the last publish is added, so counters stay exact
-  /// when one queue runs several traversals.
-  void publish_metrics() {
-    // Runs for the sampler too: the time-series "totals" come from these
-    // registry counters, so a TS-only run still needs the fold.
-    if (!obs::metrics_on() && !obs::ts_on()) return;
-    obs::stats_to_registry("traversal", obs::stats_delta(stats_, published_));
-    published_ = stats_;
-    // Every rank contributes its wall time, so the registry histogram's
-    // p50/p90/p99 spread *is* the traversal's imbalance at a glance.
-    obs::metrics_registry::instance()
-        .get_histogram("traversal.rank_time_us")
-        .record_raw(last_wall_us_);
-    // Memory ledger gauges ride the same publish cadence (levels, not
-    // deltas, so re-publishing is idempotent).
-    obs::mem_publish_registry();
-  }
-
-  /// If a metrics report path is configured (SFG_METRICS or
-  /// set_metrics_report_path), gather every rank's traversal_stats and
-  /// have rank 0 append one entry to the report.  Collective: rank 0
-  /// decides, so all ranks agree even if the path is toggled concurrently.
-  void maybe_write_run_report(runtime::comm& c) {
-    const int want = c.broadcast(
-        static_cast<int>(c.rank() == 0 &&
-                         !obs::metrics_report_path().empty()),
-        0);
-    if (want == 0) return;
-    const std::vector<traversal_stats> all = c.all_gather(stats_);
-    // Straggler fold: each rank contributes its wall time / peak queue
-    // depth / wave count through the same collective path (all ranks must
-    // reach this all_gather before rank 0's early return below).
-    struct rank_timing {
-      std::uint64_t wall_us;
-      std::uint64_t max_queue_depth;
-      std::uint64_t executed;
-    };
-    const std::vector<rank_timing> timing = c.all_gather(
-        rank_timing{last_wall_us_, last_max_depth_, stats_.visitors_executed});
-    // Rank x rank traffic-matrix section (sfg-comm-matrix/1): each rank
-    // ships its mailbox matrix fragment through the same collective path.
-    // The gate is process-wide (ranks are threads), so all ranks agree on
-    // whether to enter the collective.
-    const bool want_matrix = obs::comm_matrix_on();
-    obs::json matrix_rows;
-    if (want_matrix) matrix_rows = obs::gather_json(c, mailbox_.matrix_json());
-    // Critical-path section (sfg-critpath/1): gather every rank's span
-    // ring and let rank 0 run the analyzer.  Same process-wide-gate
-    // argument as the matrix: all ranks agree on entering the collective.
-    const bool want_critpath = obs::spans_on();
-    obs::json span_fragments;
-    if (want_critpath) span_fragments = obs::gather_json(c, obs::span_rank_json());
-    // Memory-attribution section (sfg-mem/1): every rank ships its ledger
-    // fragment; rank 0 folds in the process ground truth (RSS, pressure).
-    // Same process-wide-gate argument as the matrix.
-    const bool want_mem = obs::mem_on();
-    obs::json mem_rows;
-    if (want_mem) mem_rows = obs::gather_json(c, obs::mem_rank_json(c.rank()));
-    if (c.rank() != 0) return;
-    obs::json entry = obs::json::object();
-    entry["ranks"] = static_cast<std::uint64_t>(all.size());
-    traversal_stats total{};
-    obs::json per_rank = obs::json::array();
-    for (const auto& s : all) {
-      obs::stats_add(total, s);
-      per_rank.push_back(obs::stats_to_json(s));
-    }
-    entry["total"] = obs::stats_to_json(total);
-    entry["per_rank"] = std::move(per_rank);
-    entry["straggler"] = straggler_summary(timing);
-    if (want_matrix) {
-      obs::json cm = obs::json::object();
-      cm["schema"] = "sfg-comm-matrix/1";
-      cm["ranks"] = static_cast<std::uint64_t>(all.size());
-      cm["rows"] = std::move(matrix_rows);
-      entry["comm_matrix"] = std::move(cm);
-    }
-    if (want_critpath) {
-      obs::json cp = obs::critpath_analyze(span_fragments);
-      if (!cp.is_null()) entry["critpath"] = std::move(cp);
-    }
-    if (want_mem) entry["mem"] = obs::mem_section_json(std::move(mem_rows));
-    obs::append_traversal_report(std::move(entry));
-  }
-
-  /// Per-traversal imbalance summary (DESIGN.md §9): max/median/min rank
-  /// wall time, the imbalance ratio, and which rank was slowest with
-  /// enough attribution (work executed, peak queue depth) to say why.
-  template <typename Timing>
-  static obs::json straggler_summary(const std::vector<Timing>& timing) {
-    std::vector<std::uint64_t> walls;
-    walls.reserve(timing.size());
-    for (const auto& t : timing) walls.push_back(t.wall_us);
-    std::vector<std::uint64_t> sorted = walls;
-    std::sort(sorted.begin(), sorted.end());
-    const std::uint64_t max_us = sorted.back();
-    const std::uint64_t min_us = sorted.front();
-    const std::uint64_t median_us = sorted[sorted.size() / 2];
-    const std::size_t slowest = static_cast<std::size_t>(
-        std::max_element(walls.begin(), walls.end()) - walls.begin());
-    obs::json s = obs::json::object();
-    s["max_rank_us"] = max_us;
-    s["median_rank_us"] = median_us;
-    s["min_rank_us"] = min_us;
-    s["imbalance"] = median_us == 0
-                         ? 1.0
-                         : static_cast<double>(max_us) /
-                               static_cast<double>(median_us);
-    s["slowest_rank"] = static_cast<std::uint64_t>(slowest);
-    obs::json attribution = obs::json::object();
-    attribution["wall_us"] = timing[slowest].wall_us;
-    attribution["max_queue_depth"] = timing[slowest].max_queue_depth;
-    attribution["executed"] = timing[slowest].executed;
-    s["slowest"] = std::move(attribution);
-    obs::json per_rank = obs::json::array();
-    for (const std::uint64_t w : walls) per_rank.push_back(w);
-    s["per_rank_wall_us"] = std::move(per_rank);
-    return s;
-  }
-
   /// Paths 2 and 3 of push(): true if the hub ghost or the send cache
   /// shows `v` cannot improve on what this rank already sent toward it.
   bool filtered_at_sender(const Visitor& v, obs::trace_ctx ctx) {
@@ -627,12 +676,8 @@ class visitor_queue {
   /// core/local_queue.hpp for the bucket/heap split.
   local_queue<Visitor> local_queue_{cfg_.impl, cfg_.tiebreak};
   traversal_stats stats_;
-  /// What publish_metrics() last folded into the registry.
+  /// What the last traversal folded into the registry.
   traversal_stats published_;
-  /// Straggler inputs from the most recent do_traversal (fed to the run
-  /// report's collective fold and the registry rank-time histogram).
-  std::uint64_t last_wall_us_ = 0;
-  std::uint64_t last_max_depth_ = 0;
   std::uint64_t traversal_ordinal_ = 0;
 };
 

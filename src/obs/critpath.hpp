@@ -41,15 +41,24 @@ namespace sfg::obs {
 ///                  ("src", "dst" for wire)}],    time-ordered, contiguous
 ///    "blame": [{"rank", "kind", "dur_us", "frac"}]}     ranked by duration
 /// Returns a null json when the fragments hold no usable traversal window
-/// (no trav_begin/trav_end markers) — callers skip the embed.
+/// (no trav_begin/trav_end markers) — callers embed critpath_incomplete()
+/// instead.
 [[nodiscard]] json critpath_analyze(const json& rank_spans);
 
-/// Validate an `sfg-critpath/1` section: schema tag, a positive window,
-/// segments forming a connected start->finish chain with no overlaps,
-/// durations consistent with the timestamps, blame fractions summing to
-/// <= 1.0 of the measured wall and covering >= 90% of it, and the blame
-/// table totalling the segments.  Appends human-readable problems to
-/// *errors (when non-null); returns true when the section is valid.
+/// The section embedded when critpath_analyze() finds no window, most
+/// often because a rank's ring overflowed and lost its trav_begin marker:
+///   {"schema": "sfg-critpath/1", "incomplete": true, "dropped": N}
+/// where N sums the fragments' "dropped" counts.  critpath_validate()
+/// rejects it and names N.
+[[nodiscard]] json critpath_incomplete(const json& rank_spans);
+
+/// Validate an `sfg-critpath/1` section: schema tag, not incomplete, a
+/// positive window, segments forming a connected start->finish chain with
+/// no overlaps, durations consistent with the timestamps, blame fractions
+/// summing to <= 1.0 of the measured wall and covering >= 90% of it, and
+/// the blame table totalling the segments.  Appends human-readable
+/// problems to *errors (when non-null); returns true when the section is
+/// valid.
 bool critpath_validate(const json& section, std::vector<std::string>* errors);
 
 }  // namespace sfg::obs

@@ -24,9 +24,8 @@
 
 namespace sfg::storage {
 
-/// Shared I/O accounting for instrumented devices (sim_nvram_device,
-/// mmap_device): operation/byte counters plus per-operation latency
-/// histograms (µs).  Counters are unconditional (one u64 add under the
+/// Shared I/O accounting for instrumented devices (sim_nvram_device):
+/// operation/byte counters plus per-operation latency histograms (µs).  Counters are unconditional (one u64 add under the
 /// device's stats lock); the histograms read clocks, so devices record
 /// them only while obs::io_hist_on().
 struct device_io_stats {

@@ -192,8 +192,8 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// α/β env overrides must reach the heuristic: α so large top-down always
-// wins, and with the config fields taking precedence over the env.
+// The α/β config fields must reach the heuristic: α so small top-down
+// always wins, and α/β so large the traversal stays bottom-up throughout.
 TEST(BfsModesEnv, AlphaBetaKnobs) {
   const auto edges = make_family(family::star_hub);
   const std::uint64_t source_gid = edges.front().src;

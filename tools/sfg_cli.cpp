@@ -190,7 +190,7 @@ int usage() {
          "      [--bfs=async|topdown|bottomup|hybrid]  traversal mode:\n"
          "      async (default) is the paper's visitor queue; the others\n"
          "      are level-synchronous with an explicit frontier (hybrid\n"
-         "      switches direction on the SFG_BFS_ALPHA/SFG_BFS_BETA\n"
+         "      switches direction on Beamer's alpha=14/beta=24\n"
          "      heuristic)\n"
          "  kcore FILE --k K [--ranks P]\n"
          "  triangles FILE [--ranks P] [--approx SAMPLES]\n"

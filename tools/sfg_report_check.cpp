@@ -34,7 +34,9 @@
 ///             sfg-critpath/1 critical-path sections (from SFG_SPANS):
 ///             delegates to obs::critpath_validate — connected
 ///             start→finish segment chain, blame fractions summing to at
-///             most 1.0 of the measured wall and covering >= 90% of it
+///             most 1.0 of the measured wall and covering >= 90% of it;
+///             an "incomplete" section (a span ring overflowed) fails and
+///             names the drop count
 ///   --mem     an sfg-metrics/1 report whose traversal entries carry
 ///             sfg-mem/1 memory-attribution sections (from SFG_MEM /
 ///             SFG_MEM_BUDGET): delegates to obs::mem_validate — one row
@@ -642,9 +644,10 @@ void check_bfs_levels(const std::string& file) {
 /// --critpath: an sfg-metrics/1 report where at least one traversal
 /// carries an sfg-critpath/1 section (embedded when SFG_SPANS was set),
 /// and every one present passes the invariants enforced next to the
-/// analyzer (obs/critpath.cpp): a connected start→finish segment chain
-/// within the measured window, fractions consistent with durations,
-/// blame totals matching the segments, and coverage >= 90%.
+/// analyzer (obs/critpath.cpp): not incomplete (no ring overflow lost the
+/// window), a connected start→finish segment chain within the measured
+/// window, fractions consistent with durations, blame totals matching the
+/// segments, and coverage >= 90%.
 void check_critpath(const std::string& file) {
   const auto doc = load(file);
   if (!doc) return;

@@ -14,8 +14,9 @@
 ///   sfg_why [--json] [--traversal N] FILE
 ///
 /// Exit 0 after rendering a validated section; 1 on a missing/invalid
-/// report or a critpath section that fails critpath_validate (CI gates on
-/// this, like sfg_heat --once); 2 on usage errors.
+/// report or a critpath section that fails critpath_validate — including
+/// an incomplete one, whose message names the span-ring drop count (CI
+/// gates on this, like sfg_heat --once); 2 on usage errors.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
