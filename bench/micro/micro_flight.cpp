@@ -1,13 +1,13 @@
 /// \file micro_flight.cpp
-/// Flight-recorder and trace-sampling gate microbenches: the recorder is
-/// ON by default in production, so its steady-state record cost is a
+/// Event-ring and trace-sampling gate microbenches: the ring (the flight
+/// recorder) is ON by default in production, so its steady-state record cost is a
 /// first-class hot-path number; the disabled paths (recorder off, trace
 /// sampling with tracing off) must collapse to a single predictable
 /// branch.  Batches of 64 events match the other micro suites.
 #include <cstdint>
 
 #include "micro_harness.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/trace_context.hpp"
 
 namespace {
@@ -20,30 +20,30 @@ constexpr int kBatch = 64;
 /// one relaxed fetch_add per event.
 void bench_record_on(micro::suite& s) {
   s.run("flight/record/on", kBatch, [](std::uint64_t iters) {
-    obs::set_flight_enabled(true);
-    obs::flight_record(obs::flight_kind::queue_batch);  // warm ring + cache
+    obs::set_events_enabled(true);
+    obs::event_mark(obs::event_kind::queue_batch);  // warm ring + cache
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
-        obs::flight_record(obs::flight_kind::queue_batch,
-                           it + static_cast<std::uint64_t>(i), 42);
+        obs::event_mark(obs::event_kind::queue_batch,
+                        it + static_cast<std::uint64_t>(i), 42);
       }
     }
-    micro::keep(obs::flight_recorded_here());
-    obs::flight_clear();
+    micro::keep(obs::events_recorded_here());
+    obs::events_clear();
   });
 }
 
 /// The disabled gate: one relaxed load + branch per call site.
 void bench_record_off(micro::suite& s) {
   s.run("flight/record/off", kBatch, [](std::uint64_t iters) {
-    obs::set_flight_enabled(false);
+    obs::set_events_enabled(false);
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
-        obs::flight_record(obs::flight_kind::queue_batch,
-                           it + static_cast<std::uint64_t>(i), 42);
+        obs::event_mark(obs::event_kind::queue_batch,
+                        it + static_cast<std::uint64_t>(i), 42);
       }
     }
-    obs::set_flight_enabled(true);
+    obs::set_events_enabled(true);
     micro::keep(iters);
   });
 }
@@ -69,7 +69,7 @@ void bench_sample_gate_off(micro::suite& s) {
 
 int main() {
   micro::suite s("micro_flight",
-                 "flight recorder record cost (enabled steady state and "
+                 "event-ring record cost (enabled steady state and "
                  "disabled gate) and the trace-sampling decision with "
                  "tracing off (batches of 64)");
   bench_record_on(s);

@@ -1,18 +1,18 @@
 /// \file micro_span.cpp
-/// Span-ring microbenches (obs/span.hpp).  Span markers sit on the
-/// mailbox flush/deliver paths and the phase hooks run on every
-/// phase_scope, so the *disabled* cost (SFG_SPANS unset — the shipped
-/// default) is the number CI gates hardest: one relaxed load + branch,
-/// no clock read.  The enabled steady state (one clock read + five
-/// relaxed stores into the ring) and the phase-scope-with-spans shape
-/// (two segments per nested pair) are tracked so accounting regressions
-/// show up too.
+/// Span-lens microbenches over the event ring (obs/events.hpp).  The
+/// record/mark pair is the shape the span lens adds to a traversal — an
+/// interval per phase transition next to the mailbox markers — so the
+/// *disabled* cost (ring off) is the number CI gates hardest: one relaxed
+/// load + branch per call, no clock read.  The enabled steady state (one
+/// clock read + four relaxed stores into a slot) and the
+/// phase-scope-with-spans shape (two segments per nested pair) are
+/// tracked so accounting regressions show up too.
 #include <cstdint>
 
 #include "micro_harness.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "obs/span.hpp"
 
 namespace {
 
@@ -20,37 +20,36 @@ using namespace sfg;  // NOLINT: bench-local convenience
 
 constexpr int kBatch = 64;
 
-/// SFG_SPANS unset: span_record and span_mark collapse to the spans_on()
-/// branch; span_mark must not even read the clock.
+/// Ring off: event_record and event_mark collapse to the events_on()
+/// branch; event_mark must not even read the clock.
 void bench_record_off(micro::suite& s) {
   s.run("span/record/off", kBatch, [](std::uint64_t iters) {
-    obs::set_spans_enabled(false);
+    obs::set_events_enabled(false);
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
-        obs::span_record(obs::span_kind::phase_seg, 1, 2, 3, 0);
-        obs::span_mark(obs::span_kind::mbox_send, 1,
-                       static_cast<std::uint64_t>(i));
+        obs::event_record(obs::event_kind::phase_seg, 1, 2, 3, 0);
+        obs::event_mark(obs::event_kind::mbox_flush, 1,
+                        static_cast<std::uint64_t>(i));
       }
     }
-    micro::keep(obs::span_recorded_here());
+    obs::set_events_enabled(true);
+    micro::keep(obs::events_recorded_here());
   });
 }
 
-/// Enabled steady state: ring slot claim (one relaxed fetch_add) + five
+/// Enabled steady state: ring slot claim (one relaxed fetch_add) + four
 /// relaxed stores; the marker adds one trace_now_us() clock read.
 void bench_record_on(micro::suite& s) {
   s.run("span/record/on", kBatch, [](std::uint64_t iters) {
-    obs::set_spans_enabled(true);
     for (std::uint64_t it = 0; it < iters; ++it) {
       for (int i = 0; i < kBatch; ++i) {
-        obs::span_record(obs::span_kind::phase_seg, 1, 2, 3, 0);
-        obs::span_mark(obs::span_kind::mbox_recv, 0,
-                       static_cast<std::uint64_t>(i));
+        obs::event_record(obs::event_kind::phase_seg, 1, 2, 3, 0);
+        obs::event_mark(obs::event_kind::mbox_packet, 0,
+                        static_cast<std::uint64_t>(i));
       }
     }
-    obs::set_spans_enabled(false);
-    micro::keep(obs::span_recorded_here());
-    obs::span_clear();
+    micro::keep(obs::events_recorded_here());
+    obs::events_clear();
   });
 }
 
@@ -68,8 +67,8 @@ void bench_phase_scope_spans_on(micro::suite& s) {
       }
     }
     obs::set_spans_enabled(false);
-    micro::keep(obs::span_recorded_here());
-    obs::span_clear();
+    micro::keep(obs::events_recorded_here());
+    obs::events_clear();
     obs::phase_clear_thread();
   });
 }
@@ -78,9 +77,9 @@ void bench_phase_scope_spans_on(micro::suite& s) {
 
 int main() {
   micro::suite s("micro_span",
-                 "span ring cost (disabled gate, enabled record/marker "
-                 "steady state, phase-scope segment hooks) in batches "
-                 "of 64");
+                 "span-lens cost on the event ring (disabled gate, "
+                 "enabled record/marker steady state, phase-scope segment "
+                 "hooks) in batches of 64");
   bench_record_off(s);
   bench_record_on(s);
   bench_phase_scope_spans_on(s);

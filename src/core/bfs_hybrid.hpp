@@ -59,10 +59,9 @@
 #include "core/visitor_queue.hpp"
 #include "graph/partitioner.hpp"
 #include "mailbox/routed_mailbox.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/mem.hpp"
 #include "obs/phase.hpp"
-#include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "runtime/comm.hpp"
 #include "util/rng.hpp"
@@ -270,12 +269,10 @@ class level_sync_bfs {
           bottom_up && (!was_bottom_up || level == 0) && switch_level < 0;
       if (switched) switch_level = static_cast<std::int64_t>(level);
       if (cfg_.on_level) cfg_.on_level(level, bottom_up, switched);
-      obs::flight_record(obs::flight_kind::queue_batch, level,
-                         totals.vertices);
-      // Level marker for the critical-path analyzer: stamped after the
-      // level barrier, so its timestamp is this rank's barrier exit.
-      obs::span_mark(obs::span_kind::bfs_level, level,
-                     static_cast<std::uint64_t>(bottom_up));
+      // Stamped after the level barrier, so its timestamp is this rank's
+      // barrier exit (the critical-path analyzer's level boundary).
+      obs::event_mark(obs::event_kind::bfs_level, level,
+                      static_cast<std::uint64_t>(bottom_up));
 
       level_ = level;
       flip(cur_, next_);

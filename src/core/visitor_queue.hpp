@@ -42,12 +42,11 @@
 #include "graph/partitioner.hpp"
 #include "mailbox/routed_mailbox.hpp"
 #include "obs/critpath.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/run_report.hpp"
-#include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/stats_fields.hpp"
 #include "obs/trace.hpp"
@@ -142,9 +141,8 @@ namespace sfg::core {
 /// One traversal's lifecycle, shared by visitor_queue::do_traversal and
 /// the level-synchronous BFS driver (core/bfs_hybrid.hpp), so both drivers
 /// publish and report through one path:
-///   constructor — the begin marks: trace span, flight traversal_begin,
-///                 span trav_begin, RSS baseline, wall start, phase and
-///                 mailbox snapshots;
+///   constructor — the begin marks: trace span, traversal_begin event,
+///                 RSS baseline, wall start, phase and mailbox snapshots;
 ///   finish()    — the end fold (mailbox/phase deltas and termination
 ///                 waves into the driver's traversal_stats, end marks,
 ///                 registry publish, final time-series sample), the
@@ -164,12 +162,10 @@ class traversal_lifecycle {
         // partition the traversal's wall time; the delta from here to
         // finish() is this traversal's share.
         phase_start_(obs::phase_snapshot()) {
-    obs::flight_record(obs::flight_kind::traversal_begin, ordinal_,
-                       static_cast<std::uint64_t>(c.size()));
-    // Critical-path window marker (obs/span.hpp): the analyzer bounds its
-    // walk by the last begin/end pair in each rank's ring.
-    obs::span_mark(obs::span_kind::trav_begin, ordinal_,
-                   static_cast<std::uint64_t>(c.size()));
+    // Also the critical-path window marker: the analyzer bounds its walk
+    // by the last begin/end pair in each rank's ring (obs/events.hpp).
+    obs::event_mark(obs::event_kind::traversal_begin, ordinal_,
+                    static_cast<std::uint64_t>(c.size()));
     // Pin the RSS baseline before any traversal allocation (lazy EM frame
     // fills, queue growth, mailbox arenas): the first sample ever becomes
     // the baseline, so coverage measures accounted bytes against what the
@@ -199,10 +195,8 @@ class traversal_lifecycle {
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - wall_start_)
             .count());
-    obs::flight_record(obs::flight_kind::traversal_end,
-                       stats.visitors_executed, wall_us);
-    obs::span_mark(obs::span_kind::trav_end, ordinal_,
-                   static_cast<std::uint64_t>(comm_->size()));
+    obs::event_mark(obs::event_kind::traversal_end, stats.visitors_executed,
+                    wall_us);
     span_.set_arg("executed", static_cast<double>(stats.visitors_executed));
     publish_metrics(stats, published, wall_us);
     // Force a final time-series sample so a traversal shorter than
@@ -270,8 +264,8 @@ class traversal_lifecycle {
     if (want_matrix) matrix_rows = obs::gather_json(c, mailbox_->matrix_json());
     // Critical path (sfg-critpath/1): rank 0 analyzes every rank's ring.
     const bool want_critpath = obs::spans_on();
-    obs::json span_fragments;
-    if (want_critpath) span_fragments = obs::gather_json(c, obs::span_rank_json());
+    obs::json fragments;
+    if (want_critpath) fragments = obs::gather_json(c, obs::critpath_fragment());
     // Memory attribution (sfg-mem/1): every rank ships its ledger
     // fragment; rank 0 folds in the process ground truth (RSS, pressure).
     const bool want_mem = obs::mem_on();
@@ -299,8 +293,8 @@ class traversal_lifecycle {
     if (want_critpath) {
       // A ring that overflowed loses the window markers: say so, with the
       // drop count, rather than leave the section out.
-      obs::json cp = obs::critpath_analyze(span_fragments);
-      entry["critpath"] = cp.is_null() ? obs::critpath_incomplete(span_fragments)
+      obs::json cp = obs::critpath_analyze(fragments);
+      entry["critpath"] = cp.is_null() ? obs::critpath_incomplete(fragments)
                                        : std::move(cp);
     }
     if (want_mem) entry["mem"] = obs::mem_section_json(std::move(mem_rows));
@@ -485,8 +479,8 @@ class visitor_queue {
         // detection and replica forwarding must survive.
         if (chaos_on && chaos.decide(cfg_.faults.stall_prob)) {
           const auto stall = chaos.duration_up_to(cfg_.faults.max_stall);
-          obs::flight_record(
-              obs::flight_kind::fault_stall,
+          obs::event_mark(
+              obs::event_kind::fault_stall,
               static_cast<std::uint64_t>(
                   std::chrono::duration_cast<std::chrono::microseconds>(stall)
                       .count()));
@@ -531,8 +525,8 @@ class visitor_queue {
         const std::uint64_t depth = local_queue_.size();
         max_depth = std::max(max_depth, depth);
         if (executed > 0) {
-          obs::flight_record(obs::flight_kind::queue_batch,
-                             static_cast<std::uint64_t>(executed), depth);
+          obs::event_mark(obs::event_kind::queue_batch,
+                          static_cast<std::uint64_t>(executed), depth);
         }
         if (depth_gauge != nullptr) {
           const auto& ms = mailbox_.stats();

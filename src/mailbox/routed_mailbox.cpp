@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cstring>
 
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace sfg::mailbox {
@@ -87,11 +87,12 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   const packet_header ph{next_packet_seq_[static_cast<std::size_t>(next_hop)]++,
                          ch.open_ts_us};
   std::memcpy(ch.buf.data(), &ph, sizeof(ph));
-  // Critical-path edge, sender half: the receiver records the matching
-  // mbox_recv with the same (sender, seq) key, which is exact — seqs are
-  // assigned per (sender, next-hop) pair, so no sampling is involved.
-  obs::span_mark(obs::span_kind::mbox_send,
-                 static_cast<std::uint64_t>(next_hop), ph.seq);
+  // Also the critical-path edge's sender half: the receiver records the
+  // matching mbox_packet with the same (sender, seq) key, which is exact —
+  // seqs are assigned per (sender, next-hop) pair, so no sampling is
+  // involved.  Stamped before the send, so it precedes the acceptance.
+  obs::event_mark(obs::event_kind::mbox_flush,
+                  static_cast<std::uint64_t>(next_hop), ph.seq);
   ch.open_ts_us = 0;
   ++stats_.packets_sent;
   stats_.packet_bytes_sent += ch.buf.size();
@@ -124,8 +125,6 @@ void routed_mailbox::flush_channel(int next_hop, flush_reason why) {
   // transport's bytes, not the mailbox's); release it from the ledger.
   sync_channel_mem(ch);
   --dirty_count_;
-  obs::flight_record(obs::flight_kind::mbox_flush, sent_bytes,
-                     static_cast<std::uint64_t>(next_hop));
   // The time-series sampler diffs these registry counters, so they stay
   // live when only SFG_TS_INTERVAL_MS is set (hence the widened gate).
   if (obs::metrics_on() || obs::ts_on()) {
@@ -222,8 +221,8 @@ void routed_mailbox::note_rejected_packet(int source, std::size_t bytes) {
   // Structurally corrupt: the whole packet is rejected *without* consuming
   // its sequence number, so an intact retransmission still delivers.
   ++stats_.packets_rejected;
-  obs::flight_record(obs::flight_kind::mbox_reject,
-                     static_cast<std::uint64_t>(source), bytes);
+  obs::event_mark(obs::event_kind::mbox_reject,
+                  static_cast<std::uint64_t>(source), bytes);
   if (obs::metrics_on()) {
     obs::metrics_registry::instance()
         .get_counter("mailbox.packets_rejected")
@@ -256,8 +255,8 @@ void routed_mailbox::note_duplicate_packet(int source, std::uint64_t seq,
   }
   obs::trace_instant("mailbox.dup_drop", "mailbox", "seq",
                      static_cast<double>(seq));
-  obs::flight_record(obs::flight_kind::mbox_dup_drop,
-                     static_cast<std::uint64_t>(source), seq);
+  obs::event_mark(obs::event_kind::mbox_dup_drop,
+                  static_cast<std::uint64_t>(source), seq);
   if (obs::metrics_on() || obs::ts_on()) {
     obs::metrics_registry::instance()
         .get_counter("mailbox.packets_dropped_duplicate")

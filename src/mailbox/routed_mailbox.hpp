@@ -46,12 +46,11 @@
 
 #include "mailbox/seq_window.hpp"
 #include "mailbox/topology.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/histogram.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "obs/span.hpp"
 #include "obs/stats_fields.hpp"
 #include "obs/trace_context.hpp"
 #include "runtime/comm.hpp"
@@ -260,7 +259,7 @@ class routed_mailbox {
   [[nodiscard]] bool validate_packet(std::span<const std::byte> payload) const;
 
   /// Cold paths of process_packet, kept out of the template body: stats +
-  /// trace + metrics + flight recorder for rejected / replayed packets.
+  /// trace + metrics + event ring for rejected / replayed packets.
   /// The duplicate path receives the (already validated) payload so the
   /// traffic matrix can attribute the suppressed records per origin.
   void note_rejected_packet(int source, std::size_t bytes);
@@ -405,10 +404,10 @@ std::size_t routed_mailbox::process_packet(const runtime::message& m,
     note_duplicate_packet(m.source, ph.seq, m.payload);
     return 0;
   }
-  // Critical-path edge, receiver half: (source, seq) matches the sender's
-  // mbox_send marker exactly (obs/span.hpp, critpath.cpp).
-  obs::span_mark(obs::span_kind::mbox_recv,
-                 static_cast<std::uint64_t>(m.source), ph.seq);
+  // Stamped at acceptance, the critical-path edge's receiver half:
+  // (source, seq) matches the sender's mbox_flush exactly (critpath.cpp).
+  obs::event_mark(obs::event_kind::mbox_packet,
+                  static_cast<std::uint64_t>(m.source), ph.seq);
   const bool mx = obs::comm_matrix_on();
   if (mx && ph.open_ts_us != 0) {
     const std::uint64_t now = now_us();
@@ -453,7 +452,6 @@ std::size_t routed_mailbox::process_packet(const runtime::message& m,
       route_record(hdr.origin, static_cast<int>(hdr.final_dest), record, ctx);
     }
   }
-  obs::flight_record(obs::flight_kind::mbox_packet, delivered, total);
   return delivered;
 }
 

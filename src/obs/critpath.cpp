@@ -14,13 +14,13 @@ namespace sfg::obs {
 
 namespace {
 
-/// One phase self-time segment, parsed back from a span fragment.
+/// One phase self-time segment, parsed back from a ring fragment.
 struct seg_rec {
   std::uint64_t t0, t1;
   std::uint32_t ph;
 };
 
-/// One packet-delivery marker (mbox_recv).
+/// One packet acceptance (mbox_packet).
 struct recv_rec {
   std::uint64_t ts;
   int src;
@@ -33,8 +33,10 @@ struct rank_data {
   std::uint64_t dropped = 0;
   std::vector<seg_rec> segs;    ///< sorted by t0 (non-overlapping per rank)
   std::vector<recv_rec> recvs;  ///< sorted by ts
-  /// Last trav_begin / trav_end marker.  Not a 0 sentinel: the first
-  /// timestamp a process takes defines the trace epoch and reads 0.
+  /// (ts, level, bottom_up) of each bfs_level marker.
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> levels;
+  /// Last traversal_begin / traversal_end marker.  Not a 0 sentinel: the
+  /// first timestamp a process takes defines the trace epoch and reads 0.
   std::optional<std::uint64_t> begin_ts;
   std::optional<std::uint64_t> end_ts;
 };
@@ -73,47 +75,44 @@ const seg_rec* seg_before(const rank_data& rd, std::uint64_t t) {
 
 }  // namespace
 
-json critpath_analyze(const json& rank_spans) {
-  if (!rank_spans.is_array() || rank_spans.size() == 0) return {};
+json critpath_analyze(const json& fragments) {
+  if (!fragments.is_array() || fragments.size() == 0) return {};
 
   std::vector<rank_data> ranks;
   // (sender, receiver, seq) -> flush timestamp.  The seq is assigned per
   // (sender, next-hop) pair by the mailbox, so the key is exact.
   std::map<std::tuple<int, int, std::uint64_t>, std::uint64_t> send_ts;
-  // level -> (latest barrier-exit marker across ranks, bottom_up).
-  std::map<std::uint64_t, std::pair<std::uint64_t, bool>> levels;
 
-  for (std::size_t i = 0; i < rank_spans.size(); ++i) {
-    const json& f = rank_spans.at(i);
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    const json& f = fragments.at(i);
     if (!f.is_object()) continue;
     rank_data rd;
     rd.rank = static_cast<int>(num_u64(f, "rank"));
     rd.recorded = num_u64(f, "recorded");
     rd.dropped = num_u64(f, "dropped");
-    const json* spans = f.find("spans");
-    if (spans != nullptr && spans->is_array()) {
-      for (std::size_t j = 0; j < spans->size(); ++j) {
-        const json& sp = spans->at(j);
-        const json* k = sp.find("k");
+    const json* events = f.find("events");
+    if (events != nullptr && events->is_array()) {
+      for (std::size_t j = 0; j < events->size(); ++j) {
+        const json& ev = events->at(j);
+        const json* k = ev.find("kind");
         if (k == nullptr || !k->is_string()) continue;
         const std::string& kind = k->as_string();
-        const std::uint64_t t0 = num_u64(sp, "t0");
-        const std::uint64_t t1 = num_u64(sp, "t1");
-        const std::uint64_t a = num_u64(sp, "a");
-        const std::uint64_t b = num_u64(sp, "b");
+        const std::uint64_t ts = num_u64(ev, "ts_us");
+        const std::uint64_t a = num_u64(ev, "a");
+        const std::uint64_t b = num_u64(ev, "b");
         if (kind == "phase_seg") {
-          if (t1 > t0) rd.segs.push_back({t0, t1, static_cast<std::uint32_t>(a)});
-        } else if (kind == "mbox_send") {
-          send_ts[{rd.rank, static_cast<int>(a), b}] = t0;
-        } else if (kind == "mbox_recv") {
-          rd.recvs.push_back({t0, static_cast<int>(a), b});
+          const std::uint64_t dur = num_u64(ev, "dur_us");
+          if (dur > 0) rd.segs.push_back({ts, ts + dur, static_cast<std::uint32_t>(a)});
+        } else if (kind == "mbox_flush") {
+          send_ts[{rd.rank, static_cast<int>(a), b}] = ts;
+        } else if (kind == "mbox_packet") {
+          rd.recvs.push_back({ts, static_cast<int>(a), b});
         } else if (kind == "bfs_level") {
-          auto& lv = levels[a];
-          if (t0 >= lv.first) lv = {t0, b != 0};
-        } else if (kind == "trav_begin") {
-          rd.begin_ts = t0;  // last one wins: rings span traversals
-        } else if (kind == "trav_end") {
-          rd.end_ts = t0;
+          rd.levels.emplace_back(ts, a, b != 0);
+        } else if (kind == "traversal_begin") {
+          rd.begin_ts = ts;  // last one wins: rings span traversals
+        } else if (kind == "traversal_end") {
+          rd.end_ts = ts;
         }
       }
     }
@@ -125,11 +124,13 @@ json critpath_analyze(const json& rank_spans) {
   }
 
   // Traversal window: earliest of the ranks' last begin markers to the
-  // latest end marker; the walk starts on the last rank to leave.
+  // latest end marker; the walk starts on the last rank to leave.  A rank
+  // whose ring lost its window (overwritten by newer events) leaves no
+  // chain to walk: a partial analysis would pass for a whole one.
   std::uint64_t t_begin = 0, t_end = 0;
   const rank_data* end_rank = nullptr;
   for (const rank_data& rd : ranks) {
-    if (!rd.begin_ts || !rd.end_ts) continue;
+    if (!rd.begin_ts || !rd.end_ts || *rd.end_ts < *rd.begin_ts) return {};
     if (end_rank == nullptr || *rd.begin_ts < t_begin) t_begin = *rd.begin_ts;
     if (end_rank == nullptr || *rd.end_ts > t_end) {
       t_end = *rd.end_ts;
@@ -251,6 +252,17 @@ json critpath_analyze(const json& rank_spans) {
   }
   section["ranks"] = std::move(rank_arr);
 
+  // level -> (latest barrier exit across ranks, bottom_up), counting only
+  // markers inside each rank's own window: an earlier traversal's levels
+  // may still sit in the ring.
+  std::map<std::uint64_t, std::pair<std::uint64_t, bool>> levels;
+  for (const rank_data& rd : ranks) {
+    for (const auto& [ts, level, bottom_up] : rd.levels) {
+      if (ts < *rd.begin_ts || ts > *rd.end_ts) continue;
+      auto& lv = levels[level];
+      if (ts >= lv.first) lv = {ts, bottom_up};
+    }
+  }
   if (!levels.empty()) {
     json lv_arr = json::array();
     for (const auto& [level, lv] : levels) {
@@ -305,11 +317,11 @@ json critpath_analyze(const json& rank_spans) {
   return section;
 }
 
-json critpath_incomplete(const json& rank_spans) {
+json critpath_incomplete(const json& fragments) {
   std::uint64_t dropped = 0;
-  if (rank_spans.is_array()) {
-    for (std::size_t i = 0; i < rank_spans.size(); ++i) {
-      dropped += num_u64(rank_spans.at(i), "dropped");
+  if (fragments.is_array()) {
+    for (std::size_t i = 0; i < fragments.size(); ++i) {
+      dropped += num_u64(fragments.at(i), "dropped");
     }
   }
   json s = json::object();
@@ -338,9 +350,9 @@ bool critpath_validate(const json& section, std::vector<std::string>* errors) {
   }
   if (const json* inc = section.find("incomplete");
       inc != nullptr && inc->is_bool() && inc->as_bool()) {
-    fail("critpath: incomplete — the span rings dropped " +
+    fail("critpath: incomplete — the event rings dropped " +
          std::to_string(num_u64(section, "dropped")) +
-         " events and lost the traversal window (raise SFG_SPAN_EVENTS)");
+         " events and lost the traversal window (raise SFG_EVENTS)");
     return false;
   }
   const std::uint64_t wall = num_u64(section, "wall_us");

@@ -1,13 +1,14 @@
 /// \file critpath.hpp
 /// Post-traversal critical-path analysis (DESIGN.md §14): turns the
-/// per-rank span logs (span.hpp) into the longest cross-rank dependency
-/// chain from traversal start to finish, with per-segment blame.
+/// critical-path view of the per-rank event rings (events.hpp) into the
+/// longest cross-rank dependency chain from traversal start to finish,
+/// with per-segment blame.
 ///
 /// The analyzer is pure JSON-in/JSON-out so it links into sfg_obs with no
-/// runtime dependency: the traversal drivers gather each rank's
-/// span_rank_json() fragment with obs::gather_json (run_report.hpp) and
-/// rank 0 embeds critpath_analyze() of the gathered array as the
-/// traversal entry's "critpath" section.
+/// runtime dependency: the traversal lifecycle gathers each rank's
+/// critpath_fragment() with obs::gather_json (run_report.hpp) and rank 0
+/// embeds critpath_analyze() of the gathered array as the traversal
+/// entry's "critpath" section.
 ///
 /// Algorithm: each rank's phase segments partition its wall time exactly
 /// (phase.cpp records maximal self-time intervals), so the analyzer walks
@@ -16,7 +17,7 @@
 ///   * a poll/idle segment containing a matched packet delivery follows
 ///     the packet back to its sender's flush timestamp, emitting a "wire"
 ///     segment for the in-flight time (matched exactly by the
-///     receiver-unique packet seq stamped in the wire header, PR 3/7);
+///     receiver-unique packet seq stamped in the wire header);
 ///   * a term segment jumps to the last rank to enter the collective —
 ///     the straggler whose preceding work delayed everyone.
 /// The result is a contiguous, non-overlapping partition of the traversal
@@ -32,7 +33,7 @@
 
 namespace sfg::obs {
 
-/// Analyze an array of gathered span fragments (one span_rank_json() per
+/// Analyze an array of gathered fragments (one critpath_fragment() per
 /// rank) into an `sfg-critpath/1` section:
 ///   {"schema": "sfg-critpath/1", "wall_us", "t0_us", "t1_us",
 ///    "coverage", "ranks": [{"rank", "recorded", "dropped"}],
@@ -40,17 +41,17 @@ namespace sfg::obs {
 ///    "segments": [{"rank", "kind", "t0_us", "t1_us", "dur_us", "frac",
 ///                  ("src", "dst" for wire)}],    time-ordered, contiguous
 ///    "blame": [{"rank", "kind", "dur_us", "frac"}]}     ranked by duration
-/// Returns a null json when the fragments hold no usable traversal window
-/// (no trav_begin/trav_end markers) — callers embed critpath_incomplete()
-/// instead.
-[[nodiscard]] json critpath_analyze(const json& rank_spans);
+/// Levels count only markers inside each rank's own window.  Returns a
+/// null json unless every rank holds a traversal_begin/traversal_end
+/// window — callers embed critpath_incomplete() instead.
+[[nodiscard]] json critpath_analyze(const json& fragments);
 
 /// The section embedded when critpath_analyze() finds no window, most
-/// often because a rank's ring overflowed and lost its trav_begin marker:
+/// often because a rank's ring overflowed and lost its traversal_begin:
 ///   {"schema": "sfg-critpath/1", "incomplete": true, "dropped": N}
 /// where N sums the fragments' "dropped" counts.  critpath_validate()
 /// rejects it and names N.
-[[nodiscard]] json critpath_incomplete(const json& rank_spans);
+[[nodiscard]] json critpath_incomplete(const json& fragments);
 
 /// Validate an `sfg-critpath/1` section: schema tag, not incomplete, a
 /// positive window, segments forming a connected start->finish chain with

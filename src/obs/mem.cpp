@@ -10,7 +10,7 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "util/log.hpp"
 
 namespace sfg::obs {
@@ -42,7 +42,7 @@ struct mem_globals {
 
   /// Pending transitions awaiting mem_pressure_poll: a tiny overwrite-
   /// oldest ring so a charge never blocks on the dispatch machinery.
-  /// flight events and callbacks fire from the poll, not the charge, so a
+  /// Ring events and callbacks fire from the poll, not the charge, so a
   /// callback may take the very lock its subsystem held while charging.
   static constexpr std::size_t kPendingCap = 32;
   struct pending_slot {
@@ -88,7 +88,7 @@ mem_pressure_level desired_level(mem_pressure_level cur, std::uint64_t total,
   return mem_pressure_level::ok;
 }
 
-/// Queue one entered level for the poll-side dispatch (flight event +
+/// Queue one entered level for the poll-side dispatch (ring event +
 /// registry mirror + callbacks) and bump the transition counters.
 /// Allocation-free; overwrites the oldest pending entry when full.
 void note_transition(mem_globals& g, mem_pressure_level entered,
@@ -259,8 +259,8 @@ void mem_pressure_poll_slow() {
     const auto level = static_cast<mem_pressure_level>(
         slot.level.load(std::memory_order_acquire));
     const std::uint64_t bytes = slot.bytes.load(std::memory_order_relaxed);
-    flight_record(flight_kind::mem_pressure,
-                  static_cast<std::uint64_t>(level), bytes);
+    event_mark(event_kind::mem_pressure, static_cast<std::uint64_t>(level),
+               bytes);
     if (mirror) {
       static counter& c_soft =
           metrics_registry::instance().get_counter("mem.pressure_to_soft");
@@ -328,18 +328,23 @@ std::uint64_t mem_rank_accounted_current() noexcept {
 
 void mem_clear() {
   auto& g = globals();
-  const std::scoped_lock lock(g.mu);
-  for (auto& s : g.slots) {
-    if (!s) continue;
-    for (std::size_t i = 0; i < kMemSubsystems; ++i) {
-      s->current[i].store(0, std::memory_order_relaxed);
-      s->peak[i].store(0, std::memory_order_relaxed);
+  {
+    const std::scoped_lock lock(g.mu);
+    for (auto& s : g.slots) {
+      if (!s) continue;
+      for (std::size_t i = 0; i < kMemSubsystems; ++i) {
+        s->current[i].store(0, std::memory_order_relaxed);
+        s->peak[i].store(0, std::memory_order_relaxed);
+      }
+      s->total_current.store(0, std::memory_order_relaxed);
+      s->total_peak.store(0, std::memory_order_relaxed);
     }
-    s->total_current.store(0, std::memory_order_relaxed);
-    s->total_peak.store(0, std::memory_order_relaxed);
+    g.total_current.store(0, std::memory_order_relaxed);
+    g.total_peak.store(0, std::memory_order_relaxed);
   }
-  g.total_current.store(0, std::memory_order_relaxed);
-  g.total_peak.store(0, std::memory_order_relaxed);
+  // The event rings stay resident across a clear, so they stay charged: a
+  // traversal's obs bytes must not depend on whether it allocated them.
+  detail::events_recharge();
   g.level.store(0, std::memory_order_relaxed);
   g.to_soft.store(0, std::memory_order_relaxed);
   g.to_hard.store(0, std::memory_order_relaxed);

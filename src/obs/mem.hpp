@@ -1,6 +1,6 @@
 /// \file mem.hpp
 /// Per-rank, per-subsystem memory attribution (DESIGN.md §15): the
-/// bytes-resident sibling of the flight/span recorders.  Every big
+/// bytes-resident sibling of the event ring.  Every big
 /// allocator in the engine — mailbox aggregation arenas, the page-cache
 /// frame pool, the bucket-queue rings and spill heap, the
 /// dual-representation frontier, the streamed-builder gather buffers, the
@@ -10,7 +10,7 @@
 /// first-class ("DRAM per node is the scarce resource"): *where did the
 /// resident bytes go*, per rank, right now and at peak.
 ///
-/// Cost model mirrors flight.hpp/span.hpp: one cached-bool gate
+/// Cost model mirrors events.hpp: one cached-bool gate
 /// (`mem_on()`, metrics.hpp — forced by SFG_MEM / an armed SFG_MEM_BUDGET,
 /// implied by metrics or time-series), per-rank slots of relaxed atomics,
 /// and no allocation on the charge path after a rank's slot exists — for
@@ -32,8 +32,8 @@
 ///
 /// Soft budget: SFG_MEM_BUDGET arms a three-level pressure ladder
 /// (ok/soft/hard) evaluated against the process-wide accounted total on
-/// every charge.  Transitions are recorded in the flight recorder
-/// (flight_kind::mem_pressure) and the `mem.pressure_*` counter family;
+/// every charge.  Transitions are recorded in the event ring
+/// (event_kind::mem_pressure) and the `mem.pressure_*` counter family;
 /// registered callbacks (page cache shrinks its frame pool, see
 /// page_cache.cpp) are dispatched from `mem_pressure_poll()` — called
 /// from the visitor poll loop, never from inside a charge, so a callback
@@ -68,7 +68,7 @@ enum class mem_subsystem : std::uint32_t {
   frontier,           ///< dual-representation frontier (bitmap + sparse)
   builder_scratch,    ///< streamed-builder gathered stream + owner scratch
   partitioner_cache,  ///< SNE bounded edge cache + endpoint index
-  obs,                ///< flight/span rings, time-series samplers
+  obs,                ///< event rings, time-series samplers
   other,              ///< anything not yet attributed
 };
 
@@ -192,7 +192,8 @@ inline void mem_release(mem_subsystem s, std::uint64_t bytes) noexcept {
 /// transition counters, in place (pointers held by live trackers stay
 /// valid — their private `charged_` survives, so structures alive across
 /// a clear will release more than the ledger shows; clear between
-/// scenarios, like span_clear).  Test hook.
+/// scenarios, like events_clear).  The event rings, which live for the
+/// process, are charged again right after.  Test hook.
 void mem_clear();
 
 // ---------------------------------------------------------------------------

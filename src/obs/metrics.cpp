@@ -65,6 +65,16 @@ obs_toggles::obs_toggles() {
       env != nullptr && *env != '\0' && *env != '0') {
     spans.store(true, std::memory_order_relaxed);
   }
+  if (const char* env = std::getenv("SFG_EVENTS");
+      env != nullptr && *env != '\0') {
+    const long n = std::strtol(env, nullptr, 10);
+    if (n > 0) {
+      event_capacity = static_cast<std::size_t>(n);
+    } else {  // no ring: the span lens has nowhere to record either
+      events.store(false, std::memory_order_relaxed);
+      spans.store(false, std::memory_order_relaxed);
+    }
+  }
   if (const char* env = std::getenv("SFG_COMM_LAT_SAMPLE");
       env != nullptr && *env != '\0') {
     const long n = std::strtol(env, nullptr, 10);

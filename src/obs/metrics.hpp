@@ -36,13 +36,13 @@
 ///                           metrics/time-series are off (page_cache.hpp,
 ///                           block_device.hpp); implied by SFG_METRICS and
 ///                           SFG_TS_INTERVAL_MS
-///   SFG_SPANS=1             record the per-rank critical-path span log
-///                           (span.hpp): phase self-time segments, mailbox
-///                           flush->deliver edges, BFS level markers.
-///                           Traversal reports then embed an sfg-critpath/1
-///                           section (critpath.hpp) consumed by sfg_why
-///   SFG_SPAN_EVENTS=<n>     span-ring capacity per rank, rounded up to a
-///                           power of two (default 16384); 0 disables
+///   SFG_SPANS=1             the span lens: phase self-time segments join
+///                           the event ring (events.hpp), and traversal
+///                           reports embed an sfg-critpath/1 section
+///                           (critpath.hpp) consumed by sfg_why
+///   SFG_EVENTS=<n>          event-ring capacity per rank, rounded up to a
+///                           power of two (default 1024, 32768 with
+///                           SFG_SPANS); 0 disables the ring and the lens
 ///   SFG_MEM=1               force per-subsystem memory attribution on
 ///                           (mem.hpp) even when metrics/time-series are
 ///                           off; it is implied by SFG_METRICS and
@@ -86,9 +86,13 @@ struct obs_toggles {
   /// Packet latency sampling rate: stamp 1-in-`comm_lat_sample` packets
   /// with an enqueue timestamp; 0 = never (matrix counters still run).
   std::atomic<std::uint32_t> comm_lat_sample{1};
-  /// Critical-path span log (SFG_SPANS, span.hpp); unlike the matrix and
+  /// Span lens (SFG_SPANS, events.hpp); unlike the matrix and
   /// the I/O histograms this is opt-in only — never implied by metrics.
   std::atomic<bool> spans{false};
+  /// The event ring (events.hpp): on unless SFG_EVENTS=0; its capacity
+  /// from SFG_EVENTS (0 = the default).
+  std::atomic<bool> events{true};
+  std::size_t event_capacity = 0;
   /// Force per-subsystem memory attribution on (SFG_MEM, mem.hpp); also
   /// implied by metrics / time-series (mem_on()) and by a non-zero budget.
   std::atomic<bool> mem{false};
@@ -111,8 +115,8 @@ obs_toggles& toggles();
   return detail::toggles().timeseries.load(std::memory_order_relaxed);
 }
 
-/// Critical-path span-log gate (span.hpp): strictly opt-in via SFG_SPANS
-/// (or set_spans_enabled) — span rings cost memory per rank and a ring
+/// Span-lens gate (events.hpp): strictly opt-in via SFG_SPANS (or
+/// set_spans_enabled) — phase segments cost a clock read and a ring
 /// write per phase transition, so metrics alone never imply them.
 [[nodiscard]] inline bool spans_on() noexcept {
   return detail::toggles().spans.load(std::memory_order_relaxed);
@@ -120,7 +124,7 @@ obs_toggles& toggles();
 
 /// Phase-attribution gate (phase.hpp): phase timers feed the
 /// end-of-traversal registry fold (metrics), the live sampler
-/// (timeseries) and the span log's self-time segments (critpath), so they
+/// (timeseries) and the span lens's self-time segments (critpath), so they
 /// run whenever any consumer is on.  Three relaxed loads, still one
 /// predictable branch in the common all-off case.
 [[nodiscard]] inline bool phase_on() noexcept {
@@ -177,6 +181,8 @@ void set_metrics_enabled(bool on);
 void set_comm_matrix_enabled(bool on);
 void set_io_hist_enabled(bool on);
 void set_comm_lat_sample(std::uint32_t n);
+/// The event ring's default capacity follows SFG_SPANS at startup; turning
+/// the span lens on here does not resize it (see set_event_capacity).
 void set_spans_enabled(bool on);
 /// Memory-attribution overrides (mem.hpp).  A non-zero budget also turns
 /// the accounting on (the ladder needs the counters); setting it back to

@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "obs/span.hpp"
+#include "obs/events.hpp"
 #include "obs/trace.hpp"
 
 namespace sfg::obs {
@@ -30,7 +30,7 @@ struct phase_tls {
   static constexpr int kMaxPhaseDepth = 16;
   frame stack[kMaxPhaseDepth];
   int depth = 0;
-  /// Start of the currently-running self-time span segment (span.hpp).
+  /// Start of the currently-running self-time segment (events.hpp).
   /// seg_open flags it explicitly: trace_now_us() legitimately returns 0
   /// at the very first call of a process (the call defines the epoch), so
   /// the timestamp itself cannot double as the sentinel.
@@ -71,9 +71,9 @@ bool phase_enter(phase p) noexcept {
     // analyzer walks (critpath.cpp).
     const std::uint64_t now = trace_now_us();
     if (t.depth > 0 && t.seg_open && now > t.seg_start_us) {
-      span_append(span_kind::phase_seg, t.seg_start_us, now,
-                  t.stack[t.depth - 1].ph,
-                  static_cast<std::uint64_t>(t.depth - 1));
+      event_record(event_kind::phase_seg, t.seg_start_us, now,
+                   t.stack[t.depth - 1].ph,
+                   static_cast<std::uint64_t>(t.depth - 1));
     }
     t.seg_start_us = now;
     t.seg_open = true;
@@ -89,8 +89,8 @@ void phase_exit() noexcept {
   if (spans_on()) {
     const std::uint64_t now = trace_now_us();
     if (t.seg_open && now > t.seg_start_us) {
-      span_append(span_kind::phase_seg, t.seg_start_us, now, f.ph,
-                  static_cast<std::uint64_t>(t.depth));
+      event_record(event_kind::phase_seg, t.seg_start_us, now, f.ph,
+                   static_cast<std::uint64_t>(t.depth));
     }
     // The parent's self-time segment restarts; at depth 0 nothing runs.
     t.seg_start_us = now;

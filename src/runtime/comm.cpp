@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 
 namespace sfg::runtime {
 
@@ -103,8 +103,8 @@ void comm::fault_send(int dest, message m) {
   }
   const int copies = fault_stream_.decide(f.duplicate_prob) ? 2 : 1;
   if (copies > 1) {
-    obs::flight_record(obs::flight_kind::fault_duplicate,
-                       static_cast<std::uint64_t>(dest));
+    obs::event_mark(obs::event_kind::fault_duplicate,
+                    static_cast<std::uint64_t>(dest));
   }
   struct plan {
     bool delay;
@@ -119,8 +119,8 @@ void comm::fault_send(int dest, message m) {
     plans[i].reorder = fault_stream_.decide(f.reorder_prob);
     plans[i].position = fault_stream_.below(1u << 20);
     if (plans[i].delay) {
-      obs::flight_record(
-          obs::flight_kind::fault_delay, static_cast<std::uint64_t>(dest),
+      obs::event_mark(
+          obs::event_kind::fault_delay, static_cast<std::uint64_t>(dest),
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(
                   plans[i].delay_by)

@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "util/log.hpp"
 
 namespace sfg::runtime {
@@ -31,11 +31,11 @@ void launch(int num_ranks, const std::function<void(comm&)>& rank_main,
         const std::scoped_lock lock(failure_mu);
         if (!primary_failure) primary_failure = std::current_exception();
       }
-      // Black-box moment: record the fault and dump every rank's flight
+      // Black-box moment: record the fault and dump every rank's event
       // ring (no-op unless a dump path is configured) *before* poisoning,
       // so the dump captures the rings as the fault found them.
-      obs::flight_record(obs::flight_kind::rank_fault,
-                         static_cast<std::uint64_t>(rank));
+      obs::event_mark(obs::event_kind::rank_fault,
+                      static_cast<std::uint64_t>(rank));
       obs::flight_dump("rank-fault");
       // Unblock every rank stuck in a collective so the join below
       // completes; they observe barrier_poisoned and unwind.

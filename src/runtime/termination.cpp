@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 
@@ -34,7 +34,7 @@ void tree_termination::begin_wave(std::uint32_t wave) {
   // wave-duration histogram, so stamp whenever either consumer is live.
   wave_start_us_ =
       (obs::trace_on() || obs::metrics_on()) ? obs::trace_now_us() : 0;
-  obs::flight_record(obs::flight_kind::term_wave, wave);
+  obs::event_mark(obs::event_kind::term_wave, wave);
   child_reports_ = 0;
   child_reported_[0] = child_reported_[1] = false;
   child_sent_sum_ = 0;
@@ -78,7 +78,7 @@ void tree_termination::on_message(const message& m) {
       if (!finished_) {
         finished_ = true;
         obs::trace_instant("term.done", "term");
-        obs::flight_record(obs::flight_kind::term_done, current_wave_);
+        obs::event_mark(obs::event_kind::term_done, current_wave_);
         flood_done();
       }
       break;
@@ -96,7 +96,7 @@ void tree_termination::try_report(std::uint64_t local_sent,
   const std::uint64_t recv = local_recv + child_recv_sum_;
   reported_wave_ = current_wave_;
   ++completed_waves_;
-  obs::flight_record(obs::flight_kind::term_report, sent, recv);
+  obs::event_mark(obs::event_kind::term_report, sent, recv);
   // Waves are frequent while a traversal is active (the root re-arms
   // immediately), so skip even the registry lookup when metrics are off.
   if (obs::metrics_on()) {
@@ -138,7 +138,7 @@ void tree_termination::finalize_root_wave() {
   if (balanced && stable) {
     finished_ = true;
     obs::trace_instant("term.done", "term");
-    obs::flight_record(obs::flight_kind::term_done, current_wave_);
+    obs::event_mark(obs::event_kind::term_done, current_wave_);
     flood_done();
     return;
   }

@@ -29,7 +29,7 @@
 #include "core/visitor_queue.hpp"
 #include "gen/edge.hpp"
 #include "gen/generators.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/runtime.hpp"
 #include "util/chaos.hpp"

@@ -481,7 +481,7 @@ TEST(Chaos, MemAccountingBalancesUnderFaults) {
 
   // Traversal machinery is gone: every subsystem must be back at its
   // baseline on every rank slot, and peaks must dominate currents.  The
-  // obs subsystem is exempt from the balance law: flight/span rings are
+  // obs subsystem is exempt from the balance law: the event rings are
   // deliberately process-lifetime (the black box must outlive the run),
   // so the sweep's lazily-created per-rank rings stay charged.
   std::uint64_t total_peak = 0;

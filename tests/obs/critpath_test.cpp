@@ -1,7 +1,8 @@
 /// Critical-path analyzer + validator tests (obs/critpath.hpp) over
-/// hand-built span fragments: local attribution, the wire jump across a
+/// hand-built ring fragments: local attribution, the wire jump across a
 /// matched packet edge, the termination-straggler jump, untracked gaps,
-/// and the validator's rejection of broken sections.
+/// levels bounded by the traversal window, ring overflow (whole and
+/// partial), and the validator's rejection of broken sections.
 #include "obs/critpath.hpp"
 
 #include <gtest/gtest.h>
@@ -23,20 +24,22 @@ json make_frag(int rank) {
   json f = json::object();
   f["rank"] = static_cast<std::int64_t>(rank);
   f["dropped"] = std::uint64_t{0};
-  f["spans"] = json::array();
+  f["events"] = json::array();
   return f;
 }
 
-void add_span(json& frag, const char* k, std::uint64_t t0, std::uint64_t t1,
-              std::uint64_t a = 0, std::uint64_t b = 0) {
-  json sp = json::object();
-  sp["k"] = k;
-  sp["t0"] = t0;
-  sp["t1"] = t1;
-  sp["a"] = a;
-  sp["b"] = b;
-  frag["spans"].push_back(std::move(sp));
-  frag["recorded"] = frag["spans"].size();
+/// Append one event in critpath_fragment()'s shape: [t0, t1) becomes
+/// ts_us plus dur_us (left out for a point event, t1 == t0).
+void add_event(json& frag, const char* kind, std::uint64_t t0,
+               std::uint64_t t1, std::uint64_t a = 0, std::uint64_t b = 0) {
+  json ev = json::object();
+  ev["ts_us"] = t0;
+  ev["kind"] = kind;
+  ev["a"] = a;
+  ev["b"] = b;
+  if (t1 > t0) ev["dur_us"] = t1 - t0;
+  frag["events"].push_back(std::move(ev));
+  frag["recorded"] = frag["events"].size();
 }
 
 std::uint64_t num(const json& o, const char* key) {
@@ -60,7 +63,7 @@ void expect_valid(const json& section) {
 TEST(Critpath, NullWithoutTraversalWindow) {
   json frags = json::array();
   json f = make_frag(0);
-  add_span(f, "phase_seg", 100, 200, kVisit);
+  add_event(f, "phase_seg", 100, 200, kVisit);
   frags.push_back(std::move(f));
   EXPECT_TRUE(critpath_analyze(frags).is_null());
   EXPECT_TRUE(critpath_analyze(json::array()).is_null());
@@ -70,9 +73,9 @@ TEST(Critpath, NullWithoutTraversalWindow) {
 TEST(Critpath, SingleRankLocalAttribution) {
   json frags = json::array();
   json f = make_frag(0);
-  add_span(f, "trav_begin", 1000, 1000, 1, 1);
-  add_span(f, "phase_seg", 1000, 2000, kVisit);
-  add_span(f, "trav_end", 2000, 2000, 1, 1);
+  add_event(f, "traversal_begin", 1000, 1000, 1, 1);
+  add_event(f, "phase_seg", 1000, 2000, kVisit);
+  add_event(f, "traversal_end", 2000, 2000, 1, 1);
   frags.push_back(std::move(f));
 
   const json section = critpath_analyze(frags);
@@ -97,14 +100,14 @@ TEST(Critpath, BeginMarkerAtTraceEpochOpensTheWindow) {
   // walk must end on the rank that left last.
   json frags = json::array();
   json f0 = make_frag(0);
-  add_span(f0, "trav_begin", 0, 0, 1, 2);
-  add_span(f0, "phase_seg", 0, 800, kVisit);
-  add_span(f0, "trav_end", 800, 800, 1, 2);
+  add_event(f0, "traversal_begin", 0, 0, 1, 2);
+  add_event(f0, "phase_seg", 0, 800, kVisit);
+  add_event(f0, "traversal_end", 800, 800, 1, 2);
   frags.push_back(std::move(f0));
   json f1 = make_frag(1);
-  add_span(f1, "trav_begin", 10, 10, 1, 2);
-  add_span(f1, "phase_seg", 10, 500, kVisit);
-  add_span(f1, "trav_end", 500, 500, 1, 2);
+  add_event(f1, "traversal_begin", 10, 10, 1, 2);
+  add_event(f1, "phase_seg", 10, 500, kVisit);
+  add_event(f1, "traversal_end", 500, 500, 1, 2);
   frags.push_back(std::move(f1));
 
   const json section = critpath_analyze(frags);
@@ -125,19 +128,19 @@ TEST(Critpath, WireJumpFollowsPacketToSender) {
   // Rank 0 does the early work, flushes a packet to rank 1 at t=1600
   // (seq 5), and leaves early.
   json f0 = make_frag(0);
-  add_span(f0, "trav_begin", 1000, 1000, 1, 2);
-  add_span(f0, "phase_seg", 1000, 1600, kVisit);
-  add_span(f0, "mbox_send", 1600, 1600, /*next_hop=*/1, /*seq=*/5);
-  add_span(f0, "phase_seg", 1600, 1700, kPoll);
-  add_span(f0, "trav_end", 1700, 1700, 1, 2);
+  add_event(f0, "traversal_begin", 1000, 1000, 1, 2);
+  add_event(f0, "phase_seg", 1000, 1600, kVisit);
+  add_event(f0, "mbox_flush", 1600, 1600, /*next_hop=*/1, /*seq=*/5);
+  add_event(f0, "phase_seg", 1600, 1700, kPoll);
+  add_event(f0, "traversal_end", 1700, 1700, 1, 2);
   frags.push_back(std::move(f0));
   // Rank 1 polls until the packet lands at t=2000, then finishes last.
   json f1 = make_frag(1);
-  add_span(f1, "trav_begin", 1000, 1000, 1, 2);
-  add_span(f1, "phase_seg", 1000, 2500, kPoll);
-  add_span(f1, "mbox_recv", 2000, 2000, /*source=*/0, /*seq=*/5);
-  add_span(f1, "phase_seg", 2500, 3000, kVisit);
-  add_span(f1, "trav_end", 3000, 3000, 1, 2);
+  add_event(f1, "traversal_begin", 1000, 1000, 1, 2);
+  add_event(f1, "phase_seg", 1000, 2500, kPoll);
+  add_event(f1, "mbox_packet", 2000, 2000, /*source=*/0, /*seq=*/5);
+  add_event(f1, "phase_seg", 2500, 3000, kVisit);
+  add_event(f1, "traversal_end", 3000, 3000, 1, 2);
   frags.push_back(std::move(f1));
 
   const json section = critpath_analyze(frags);
@@ -176,17 +179,17 @@ TEST(Critpath, TermJumpBlamesStraggler) {
   json frags = json::array();
   // Rank 0 finishes its work fast and waits in termination.
   json f0 = make_frag(0);
-  add_span(f0, "trav_begin", 1000, 1000, 1, 2);
-  add_span(f0, "phase_seg", 1000, 2000, kVisit);
-  add_span(f0, "phase_seg", 2000, 4000, kTerm);
-  add_span(f0, "trav_end", 4000, 4000, 1, 2);
+  add_event(f0, "traversal_begin", 1000, 1000, 1, 2);
+  add_event(f0, "phase_seg", 1000, 2000, kVisit);
+  add_event(f0, "phase_seg", 2000, 4000, kTerm);
+  add_event(f0, "traversal_end", 4000, 4000, 1, 2);
   frags.push_back(std::move(f0));
   // Rank 1 is the straggler: computes until 3500.
   json f1 = make_frag(1);
-  add_span(f1, "trav_begin", 1000, 1000, 1, 2);
-  add_span(f1, "phase_seg", 1000, 3500, kVisit);
-  add_span(f1, "phase_seg", 3500, 3990, kTerm);
-  add_span(f1, "trav_end", 3990, 3990, 1, 2);
+  add_event(f1, "traversal_begin", 1000, 1000, 1, 2);
+  add_event(f1, "phase_seg", 1000, 3500, kVisit);
+  add_event(f1, "phase_seg", 3500, 3990, kTerm);
+  add_event(f1, "traversal_end", 3990, 3990, 1, 2);
   frags.push_back(std::move(f1));
 
   const json section = critpath_analyze(frags);
@@ -212,9 +215,9 @@ TEST(Critpath, TermJumpBlamesStraggler) {
 TEST(Critpath, GapBecomesUntracked) {
   json frags = json::array();
   json f = make_frag(0);
-  add_span(f, "trav_begin", 1000, 1000, 1, 1);
-  add_span(f, "phase_seg", 2000, 3000, kVisit);  // nothing before t=2000
-  add_span(f, "trav_end", 3000, 3000, 1, 1);
+  add_event(f, "traversal_begin", 1000, 1000, 1, 1);
+  add_event(f, "phase_seg", 2000, 3000, kVisit);  // nothing before t=2000
+  add_event(f, "traversal_end", 3000, 3000, 1, 1);
   frags.push_back(std::move(f));
 
   const json section = critpath_analyze(frags);
@@ -233,11 +236,11 @@ TEST(Critpath, GapBecomesUntracked) {
 TEST(Critpath, LevelsCarryBarrierTimestamps) {
   json frags = json::array();
   json f = make_frag(0);
-  add_span(f, "trav_begin", 1000, 1000, 1, 1);
-  add_span(f, "bfs_level", 1200, 1200, /*level=*/0, /*bottom_up=*/0);
-  add_span(f, "bfs_level", 1800, 1800, /*level=*/1, /*bottom_up=*/1);
-  add_span(f, "phase_seg", 1000, 2000, kVisit);
-  add_span(f, "trav_end", 2000, 2000, 1, 1);
+  add_event(f, "traversal_begin", 1000, 1000, 1, 1);
+  add_event(f, "bfs_level", 1200, 1200, /*level=*/0, /*bottom_up=*/0);
+  add_event(f, "bfs_level", 1800, 1800, /*level=*/1, /*bottom_up=*/1);
+  add_event(f, "phase_seg", 1000, 2000, kVisit);
+  add_event(f, "traversal_end", 2000, 2000, 1, 1);
   frags.push_back(std::move(f));
 
   const json section = critpath_analyze(frags);
@@ -252,6 +255,24 @@ TEST(Critpath, LevelsCarryBarrierTimestamps) {
   const json* bu = levels->at(1).find("bottom_up");
   ASSERT_NE(bu, nullptr);
   EXPECT_TRUE(bu->is_bool() && bu->as_bool());
+}
+
+TEST(Critpath, LevelsOutsideTheWindowAreIgnored) {
+  // An async traversal after a hybrid one: the hybrid's level markers
+  // still sit in the ring before the async window opens, so they must not
+  // label the async traversal.
+  json frags = json::array();
+  json f = make_frag(0);
+  add_event(f, "bfs_level", 500, 500, /*level=*/4, /*bottom_up=*/0);
+  add_event(f, "traversal_begin", 1000, 1000, 2, 1);
+  add_event(f, "phase_seg", 1000, 2000, kVisit);
+  add_event(f, "traversal_end", 2000, 2000, 2, 1);
+  frags.push_back(std::move(f));
+
+  const json section = critpath_analyze(frags);
+  ASSERT_TRUE(section.is_object());
+  EXPECT_EQ(section.find("levels"), nullptr);
+  expect_valid(section);
 }
 
 TEST(Critpath, ValidatorRejectsWrongSchema) {
@@ -269,7 +290,7 @@ TEST(Critpath, IncompleteSectionCountsDropsAndFailsValidation) {
   json frags = json::array();
   for (int r = 0; r < 2; ++r) {
     json f = make_frag(r);
-    add_span(f, "phase_seg", 100, 200, kVisit);
+    add_event(f, "phase_seg", 100, 200, kVisit);
     f["dropped"] = static_cast<std::uint64_t>(3 + r);
     frags.push_back(std::move(f));
   }
@@ -282,6 +303,34 @@ TEST(Critpath, IncompleteSectionCountsDropsAndFailsValidation) {
   EXPECT_FALSE(critpath_validate(section, &errors));
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors.front().find("dropped 7 events"), std::string::npos)
+      << errors.front();
+}
+
+TEST(Critpath, PartialOverflowIsIncomplete) {
+  // Rank 0 still holds its window; rank 1's ring wrapped past its
+  // traversal_begin (its fragment is empty, 9 events dropped).  A chain
+  // that never visits rank 1 would pass for a whole one, so the analyzer
+  // gives up and the stand-in section names the drops.
+  json frags = json::array();
+  json f0 = make_frag(0);
+  add_event(f0, "traversal_begin", 1000, 1000, 1, 2);
+  add_event(f0, "phase_seg", 1000, 2000, kVisit);
+  add_event(f0, "traversal_end", 2000, 2000, 1, 2);
+  frags.push_back(std::move(f0));
+  json f1 = make_frag(1);
+  f1["recorded"] = std::uint64_t{25};
+  f1["dropped"] = std::uint64_t{9};
+  frags.push_back(std::move(f1));
+
+  ASSERT_TRUE(critpath_analyze(frags).is_null());
+  const json section = critpath_incomplete(frags);
+  EXPECT_EQ(section.find("dropped")->as_u64(), 9u);
+  std::vector<std::string> errors;
+  EXPECT_FALSE(critpath_validate(section, &errors));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors.front().find("dropped 9 events"), std::string::npos)
+      << errors.front();
+  EXPECT_NE(errors.front().find("SFG_EVENTS"), std::string::npos)
       << errors.front();
 }
 

@@ -17,9 +17,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/phase.hpp"
-#include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -228,42 +227,43 @@ TEST(Metrics, DisabledSitesDoNotAllocate) {
 }
 
 TEST(Metrics, FlightRecordHotPathDoesNotAllocate) {
-  // The flight recorder is ON by default, so its steady-state cost matters
-  // more than any other site's: after the first event faults in this
-  // thread's ring, recording must be allocation-free.
-  const bool saved = flight_on();
-  set_flight_enabled(true);
-  flight_record(flight_kind::queue_batch, 0, 0);  // warm up: ring + TLS cache
+  // The event ring is ON by default (the black box), so its steady-state
+  // cost matters more than any other site's: after the first event faults
+  // in this thread's ring, recording must be allocation-free.
+  const bool saved = events_on();
+  set_events_enabled(true);
+  event_mark(event_kind::queue_batch, 0, 0);  // warm up: ring + TLS cache
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10'000; ++i) {
-    flight_record(flight_kind::queue_batch, static_cast<std::uint64_t>(i), 1);
-    flight_record(flight_kind::mbox_packet, 4, 256);
+    event_mark(event_kind::queue_batch, static_cast<std::uint64_t>(i), 1);
+    event_mark(event_kind::mbox_packet, 4, static_cast<std::uint64_t>(i));
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "flight_record must not allocate after the ring exists";
-  set_flight_enabled(saved);
+      << "event_mark must not allocate after the ring exists";
+  set_events_enabled(saved);
 }
 
 TEST(Metrics, DisabledFlightAndSamplingDoNotAllocate) {
   toggle_guard guard;
   set_trace_enabled(false);
-  const bool saved_flight = flight_on();
-  set_flight_enabled(false);
+  const bool saved_events = events_on();
+  set_events_enabled(false);
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   trace_ctx any_ctx = 0;
   for (int i = 0; i < 10'000; ++i) {
-    flight_record(flight_kind::queue_batch, 1, 2);
+    event_mark(event_kind::queue_batch, 1, 2);
+    event_record(event_kind::phase_seg, 1, 2, 3, 0);
     // Tracing off: the sampling decision is a single branch.
     any_ctx |= sample_trace_ctx(0, static_cast<std::uint64_t>(i));
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(any_ctx, 0u) << "sampling must be off while tracing is off";
   EXPECT_EQ(after - before, 0u)
-      << "disabled flight recorder and trace sampling must not allocate";
-  set_flight_enabled(saved_flight);
+      << "disabled event ring and trace sampling must not allocate";
+  set_events_enabled(saved_events);
 }
 
 TEST(Metrics, DisabledPhaseAndTimeseriesDoNotAllocate) {
@@ -296,24 +296,31 @@ TEST(Metrics, DisabledPhaseAndTimeseriesDoNotAllocate) {
 }
 
 TEST(Metrics, DisabledSpanSitesDoNotAllocate) {
-  // SFG_SPANS off is the default: a span_record is one branch, span_mark
-  // does not even read the clock, and phase scopes stay span-free.
+  // SFG_SPANS off is the default: the ring keeps its black-box events
+  // (mailbox flushes, here) allocation-free, and phase scopes add no
+  // segments to it.
   toggle_guard guard;
   set_metrics_enabled(false);
   const bool saved = spans_on();
+  const bool saved_events = events_on();
   set_spans_enabled(false);
+  set_events_enabled(true);
+  events_clear();
+  event_mark(event_kind::mbox_flush, 1, 0);  // warm up: ring + TLS cache
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10'000; ++i) {
-    span_record(span_kind::phase_seg, 1, 2, 3, 0);
-    span_mark(span_kind::mbox_send, 1, static_cast<std::uint64_t>(i));
+    event_mark(event_kind::mbox_flush, 1, static_cast<std::uint64_t>(i));
     { const phase_scope ps(phase::visit); }
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "disabled span sites must not allocate";
-  EXPECT_EQ(span_recorded_here(), 0u);
+      << "span-off sites must not allocate";
+  EXPECT_EQ(events_recorded_here(), 10'001u)
+      << "phase scopes must not record segments with spans off";
   set_spans_enabled(saved);
+  set_events_enabled(saved_events);
+  events_clear();
   phase_clear_thread();
 }
 
@@ -324,23 +331,26 @@ TEST(Metrics, SpanRecordHotPathDoesNotAllocate) {
   toggle_guard guard;
   set_metrics_enabled(false);
   const bool saved = spans_on();
+  const bool saved_events = events_on();
   set_spans_enabled(true);
-  span_clear();
-  span_record(span_kind::phase_seg, 1, 2);          // warm up: ring + TLS
+  set_events_enabled(true);
+  events_clear();
+  event_record(event_kind::phase_seg, 1, 2);        // warm up: ring + TLS
   { const phase_scope warm(phase::visit); }         // warm up: phase TLS
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 10'000; ++i) {
-    span_record(span_kind::phase_seg, 1, 2, 3, 0);
-    span_mark(span_kind::mbox_recv, 0, static_cast<std::uint64_t>(i));
+    event_record(event_kind::phase_seg, 1, 2, 3, 0);
+    event_mark(event_kind::mbox_packet, 0, static_cast<std::uint64_t>(i));
     { const phase_scope ps(phase::visit); }
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "span recording must not allocate after the ring exists";
-  EXPECT_GE(span_recorded_here(), 20'000u);
+  EXPECT_GE(events_recorded_here(), 20'000u);
   set_spans_enabled(saved);
-  span_clear();
+  set_events_enabled(saved_events);
+  events_clear();
   phase_clear_thread();
 }
 

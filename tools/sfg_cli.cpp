@@ -210,7 +210,14 @@ int usage() {
          "  --em-page B          page size in bytes (default 512)\n"
          "  --mem-budget BYTES   soft memory budget: arms the pressure\n"
          "                       ladder and per-subsystem attribution\n"
-         "                       (mirrors SFG_MEM_BUDGET)\n";
+         "                       (mirrors SFG_MEM_BUDGET)\n"
+         "observability environment (README has the full table):\n"
+         "  SFG_METRICS=PATH     per-traversal sfg-metrics/1 report\n"
+         "  SFG_SPANS=1          span lens: embed an sfg-critpath/1 section\n"
+         "                       per traversal (read it with sfg_why)\n"
+         "  SFG_EVENTS=N         per-rank event-ring capacity (default\n"
+         "                       1024, 32768 with SFG_SPANS; 0 = off)\n"
+         "  SFG_FLIGHT_DUMP=PATH where the ring's sfg-flight/1 dumps land\n";
   return 2;
 }
 

@@ -35,7 +35,7 @@
 ///             delegates to obs::critpath_validate — connected
 ///             start→finish segment chain, blame fractions summing to at
 ///             most 1.0 of the measured wall and covering >= 90% of it;
-///             an "incomplete" section (a span ring overflowed) fails and
+///             an "incomplete" section (an event ring overflowed) fails and
 ///             names the drop count
 ///   --mem     an sfg-metrics/1 report whose traversal entries carry
 ///             sfg-mem/1 memory-attribution sections (from SFG_MEM /
