@@ -50,6 +50,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -190,6 +191,7 @@ class level_sync_bfs {
     }
     visited_.assign(word_off_.back(), 0);
     frontier_words_.reserve(word_off_.back());
+    if constexpr (Graph::paged_adjacency) rows_.reserve(graph_->num_sources());
 
     // Unvisited edge mass starts as this rank's master degree sum.
     for (std::size_t s = 0; s < graph_->num_slots(); ++s) {
@@ -318,28 +320,58 @@ class level_sync_bfs {
 
   void top_down_scan() {
     const obs::phase_scope vscope(obs::phase::visit);
-    const std::size_t sources = graph_->num_sources();
-    for (std::size_t s = 0; s < sources; ++s) {
-      const graph::vertex_locator v = graph_->locator_of(s);
-      if (!word_test(frontier_words_, v)) continue;
-      graph_->for_each_out_edge(s, [&](graph::vertex_locator t) {
-        if (word_test(visited_, t)) return;  // already claimed, skip traffic
-        send_claim(t, v);
-      });
-    }
+    scan_rows(
+        /*first_page_only=*/false,
+        [&](graph::vertex_locator v) { return word_test(frontier_words_, v); },
+        [&](std::size_t s, graph::vertex_locator v) {
+          graph_->for_each_out_edge(s, [&](graph::vertex_locator t) {
+            if (word_test(visited_, t)) return;  // already claimed: no traffic
+            send_claim(t, v);
+          });
+        });
   }
 
   void bottom_up_scan() {
     const obs::phase_scope vscope(obs::phase::visit);
+    scan_rows(
+        /*first_page_only=*/true,
+        [&](graph::vertex_locator v) { return !word_test(visited_, v); },
+        [&](std::size_t s, graph::vertex_locator v) {
+          graph_->for_each_out_edge_while(s, [&](graph::vertex_locator t) {
+            if (!word_test(frontier_words_, t)) return true;  // keep probing
+            send_claim(v, t);
+            return false;  // first frontier neighbor wins; stop the probe
+          });
+        });
+  }
+
+  /// Call scan(slot, locator) for every local source row whose vertex
+  /// `want` selects, in slot order.  On paged
+  /// adjacency the selected rows are walked in readahead windows: each
+  /// window's pages (whole rows, or each row's first page) are read as one
+  /// batch before its rows are scanned, so the device serves them at its
+  /// queue depth instead of one latency per miss.  `want` must not depend
+  /// on the scan's own effects (the level's bitmaps are fixed while it
+  /// runs).  In-memory graphs compile to the plain loop.
+  template <typename Want, typename Scan>
+  void scan_rows(bool first_page_only, Want&& want, Scan&& scan) {
     const std::size_t sources = graph_->num_sources();
-    for (std::size_t s = 0; s < sources; ++s) {
-      const graph::vertex_locator v = graph_->locator_of(s);
-      if (word_test(visited_, v)) continue;
-      graph_->for_each_out_edge_while(s, [&](graph::vertex_locator t) {
-        if (!word_test(frontier_words_, t)) return true;  // keep probing
-        send_claim(v, t);
-        return false;  // first frontier neighbor wins; stop the probe
-      });
+    if constexpr (Graph::paged_adjacency) {
+      rows_.clear();
+      for (std::size_t s = 0; s < sources; ++s) {
+        if (want(graph_->locator_of(s))) rows_.push_back(s);
+      }
+      const std::span<const std::size_t> rows(rows_);
+      for (std::size_t i = 0; i < rows.size();) {
+        const std::size_t end =
+            i + graph_->prefetch_out_edges(rows.subspan(i), first_page_only);
+        for (; i < end; ++i) scan(rows[i], graph_->locator_of(rows[i]));
+      }
+    } else {
+      for (std::size_t s = 0; s < sources; ++s) {
+        const graph::vertex_locator v = graph_->locator_of(s);
+        if (want(v)) scan(s, v);
+      }
     }
   }
 
@@ -445,6 +477,8 @@ class level_sync_bfs {
   std::vector<std::uint64_t> visited_;
   /// This level's gathered global frontier (reused buffer).
   std::vector<std::uint64_t> frontier_words_;
+  /// Paged adjacency only: the rows this level scans (reused buffer).
+  std::vector<std::size_t> rows_;
   std::uint64_t level_ = 0;
   bool left_bottom_up_ = false;
   std::uint64_t next_mass_ = 0;

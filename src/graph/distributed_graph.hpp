@@ -13,6 +13,7 @@
 /// are at most two split adjacency lists per partition (paper §III-A1).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <span>
@@ -155,10 +156,33 @@ class distributed_graph {
   bool for_each_out_edge_while(std::size_t s, Fn&& fn) const {
     if (s >= bp_.num_sources) return true;
     const obs::phase_scope pscope(obs::phase::scan);
-    for (std::size_t i = bp_.csr_offsets[s]; i < bp_.csr_offsets[s + 1]; ++i) {
-      if (!fn(vertex_locator::from_bits(store_.get(i)))) return false;
-    }
-    return true;
+    return store_.for_each_while(bp_.csr_offsets[s], bp_.csr_offsets[s + 1],
+                                 [&fn](std::uint64_t bits) {
+                                   return fn(vertex_locator::from_bits(bits));
+                                 });
+  }
+
+  /// True when the adjacency lives on a device behind a page cache, so a
+  /// scan that knows its rows ahead gains from prefetch_out_edges.
+  static constexpr bool paged_adjacency = Store::paged;
+
+  /// Read ahead the adjacency pages of a prefix of `slots` (ascending
+  /// local slots): each row in full, or only the page holding its first
+  /// edge when `first_page_only` (where a bottom-up probe usually stops).
+  /// The prefix is as long as fits in one batched device read of the
+  /// store's prefetch window.  Returns the prefix length: at least 1 for
+  /// a non-empty `slots`, all of them for an in-memory store, which reads
+  /// nothing.  Row bounds come from the DRAM-resident CSR offsets.
+  std::size_t prefetch_out_edges(std::span<const std::size_t> slots,
+                                 bool first_page_only) const {
+    return store_.prefetch(slots.size(), [&](std::size_t k) {
+      const std::size_t s = slots[k];
+      if (s >= bp_.num_sources) return std::pair<std::size_t, std::size_t>{};
+      const std::size_t begin = bp_.csr_offsets[s];
+      const std::size_t end = bp_.csr_offsets[s + 1];
+      return std::pair<std::size_t, std::size_t>{
+          begin, first_page_only ? std::min(end, begin + 1) : end};
+    });
   }
 
   /// Visit (target, weight) pairs of slot `s`'s local adjacency slice.

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -35,10 +36,13 @@ memory_device::memory_device(std::uint64_t initial_size)
 void memory_device::read(std::uint64_t offset, std::span<std::byte> out) {
   const std::scoped_lock lock(mu_);
   // Reads past the end return zero bytes, matching a sparse file.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t pos = offset + i;
-    out[i] = pos < data_.size() ? data_[pos] : std::byte{0};
-  }
+  const std::size_t n =
+      offset < data_.size()
+          ? static_cast<std::size_t>(
+                std::min<std::uint64_t>(out.size(), data_.size() - offset))
+          : 0;
+  if (n > 0) std::memcpy(out.data(), data_.data() + offset, n);
+  std::memset(out.data() + n, 0, out.size() - n);
 }
 
 void memory_device::write(std::uint64_t offset,
@@ -125,49 +129,81 @@ sim_nvram_device::sim_nvram_device(block_device& inner, params p)
   }
 }
 
-void sim_nvram_device::acquire_slot() {
+std::size_t sim_nvram_device::acquire_slots(std::size_t want) {
   std::unique_lock lock(mu_);
   cv_.wait(lock, [&] { return inflight_ < params_.queue_depth; });
-  ++inflight_;
+  const std::size_t got = std::min(
+      want, static_cast<std::size_t>(params_.queue_depth - inflight_));
+  inflight_ += static_cast<int>(got);
+  return got;
 }
 
-void sim_nvram_device::release_slot() {
+void sim_nvram_device::release_slots(std::size_t n) {
   {
     const std::scoped_lock lock(mu_);
-    --inflight_;
+    inflight_ -= static_cast<int>(n);
   }
-  cv_.notify_one();
+  cv_.notify_all();
+}
+
+void sim_nvram_device::wait_service(std::chrono::microseconds latency,
+                                    std::size_t ops) {
+  // The wait models device service time; the waves of concurrent callers
+  // overlap up to queue_depth operations, like NAND channel parallelism.
+  if (wait_) {
+    wait_(latency, ops);
+  } else {
+    std::this_thread::sleep_for(latency);
+  }
 }
 
 void sim_nvram_device::read(std::uint64_t offset, std::span<std::byte> out) {
-  // Time the whole operation including the queue-slot wait: with many
-  // concurrent requests the wait *is* the interesting number (§II-B).
-  const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
-  acquire_slot();
-  // The sleep models device service time; concurrent readers overlap their
-  // sleeps up to queue_depth, exactly like NAND channel parallelism.
-  std::this_thread::sleep_for(params_.read_latency);
-  inner_->read(offset, out);
-  {
-    const std::scoped_lock lock(mu_);
-    ++stats_.reads;
-    stats_.bytes_read += out.size();
-    if (t0 != 0) stats_.read_us.add(now_us() - t0);
+  const request r{offset, out};
+  read_batch({&r, 1});
+}
+
+void sim_nvram_device::read_batch(std::span<const request> reqs) {
+  const bool metrics = obs::metrics_on() || obs::ts_on();
+  for (std::size_t i = 0; i < reqs.size();) {
+    // Time the whole wave including the queue-slot wait: with many
+    // concurrent requests the wait *is* the interesting number (§II-B).
+    // Every operation of a wave records the wave's time.
+    const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
+    const std::size_t n = acquire_slots(reqs.size() - i);
+    wait_service(params_.read_latency, n);
+    std::uint64_t bytes = 0;
+    for (std::size_t k = i; k < i + n; ++k) {
+      inner_->read(reqs[k].offset, reqs[k].out);
+      bytes += reqs[k].out.size();
+    }
+    const std::uint64_t us = t0 != 0 ? now_us() - t0 : 0;
+    {
+      const std::scoped_lock lock(mu_);
+      stats_.reads += n;
+      stats_.bytes_read += bytes;
+      if (t0 != 0) {
+        for (std::size_t k = 0; k < n; ++k) stats_.read_us.add(us);
+      }
+    }
+    if (metrics) {
+      auto& reg = obs::metrics_registry::instance();
+      reg.get_counter("nvram.reads").add_raw(n);
+      reg.get_counter("nvram.bytes_read").add_raw(bytes);
+      if (t0 != 0) {
+        auto& h = reg.get_histogram("nvram.read_us");
+        for (std::size_t k = 0; k < n; ++k) h.record_raw(us);
+      }
+    }
+    release_slots(n);
+    i += n;
   }
-  if (obs::metrics_on() || obs::ts_on()) {
-    auto& reg = obs::metrics_registry::instance();
-    reg.get_counter("nvram.reads").add_raw(1);
-    reg.get_counter("nvram.bytes_read").add_raw(out.size());
-    if (t0 != 0) reg.get_histogram("nvram.read_us").record_raw(now_us() - t0);
-  }
-  release_slot();
 }
 
 void sim_nvram_device::write(std::uint64_t offset,
                              std::span<const std::byte> data) {
   const std::uint64_t t0 = obs::io_hist_on() ? now_us() : 0;
-  acquire_slot();
-  std::this_thread::sleep_for(params_.write_latency);
+  acquire_slots(1);
+  wait_service(params_.write_latency, 1);
   inner_->write(offset, data);
   {
     const std::scoped_lock lock(mu_);
@@ -181,7 +217,7 @@ void sim_nvram_device::write(std::uint64_t offset,
     reg.get_counter("nvram.bytes_written").add_raw(data.size());
     if (t0 != 0) reg.get_histogram("nvram.write_us").record_raw(now_us() - t0);
   }
-  release_slot();
+  release_slots(1);
 }
 
 std::uint64_t sim_nvram_device::size_bytes() const {

@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -39,10 +40,28 @@ struct device_io_stats {
 
 class block_device {
  public:
+  /// One read of a batch: `out.size()` bytes starting at `offset`.
+  struct request {
+    std::uint64_t offset;
+    std::span<std::byte> out;
+  };
+
   virtual ~block_device() = default;
 
-  /// Read `out.size()` bytes starting at `offset`.  Thread-safe.
+  /// Read `out.size()` bytes starting at `offset`.  Every device fills the
+  /// whole span, with zero bytes past its end.  Thread-safe.
   virtual void read(std::uint64_t offset, std::span<std::byte> out) = 0;
+
+  /// Serve several reads issued together.  The default serves them one
+  /// by one; a device with internal parallelism overlaps them (see
+  /// sim_nvram_device).  Thread-safe.
+  virtual void read_batch(std::span<const request> reqs) {
+    for (const request& r : reqs) read(r.offset, r.out);
+  }
+
+  /// Operations the device serves concurrently: how many reads a batch
+  /// should hold to use it fully.  1 for devices without a queue model.
+  [[nodiscard]] virtual int queue_depth() const noexcept { return 1; }
 
   /// Write `data` starting at `offset`, growing the device if needed.
   /// Thread-safe.
@@ -88,12 +107,17 @@ class file_device final : public block_device {
 
 /// Latency + queue-depth model wrapped around another device.
 ///
-/// Each read/write sleeps for the configured device latency while holding
-/// one of `queue_depth` in-flight slots.  With enough concurrent requests
-/// (the paper's "high levels of concurrent I/O"), throughput approaches
+/// Operations are served in *waves*: a wave holds one in-flight slot per
+/// operation (at most `queue_depth` slots across all callers), waits one
+/// device latency, runs the inner operations and releases its slots.  A
+/// read() or write() is a wave of one; read_batch() serves its requests
+/// in waves of as many free slots as there are, so a batch of k reads
+/// alone costs ceil(k / queue_depth) latencies — exactly what k threads
+/// calling read() at once cost.  With enough concurrent requests (the
+/// paper's "high levels of concurrent I/O"), throughput approaches
 /// queue_depth operations per latency period; a single synchronous stream
 /// gets exactly 1/latency — the asymmetry the asynchronous visitor design
-/// exploits.
+/// and the level-synchronous readahead exploit.
 class sim_nvram_device final : public block_device {
  public:
   struct params {
@@ -102,11 +126,25 @@ class sim_nvram_device final : public block_device {
     int queue_depth = 32;
   };
 
+  /// The service-time wait of one wave of `ops` operations.  The default
+  /// sleeps `latency`; tests install a virtual clock through
+  /// set_service_wait() so that modeled time is exact under any host load.
+  using service_wait =
+      std::function<void(std::chrono::microseconds latency, std::size_t ops)>;
+
   sim_nvram_device(block_device& inner, params p);
 
   void read(std::uint64_t offset, std::span<std::byte> out) override;
+  void read_batch(std::span<const request> reqs) override;
   void write(std::uint64_t offset, std::span<const std::byte> data) override;
   [[nodiscard]] std::uint64_t size_bytes() const override;
+  [[nodiscard]] int queue_depth() const noexcept override {
+    return params_.queue_depth;
+  }
+
+  /// Test seam: replace the service-time wait (default: sleep_for).  Call
+  /// before the device is shared between threads.
+  void set_service_wait(service_wait wait) { wait_ = std::move(wait); }
 
   /// Latency histograms measure the full operation as a caller sees it:
   /// queue-slot wait + modeled device latency + inner op — the number the
@@ -116,12 +154,14 @@ class sim_nvram_device final : public block_device {
   void reset_stats();
 
  private:
-  class inflight_slot;
-  void acquire_slot();
-  void release_slot();
+  /// Block until a slot is free, then take min(want, free) slots.
+  std::size_t acquire_slots(std::size_t want);
+  void release_slots(std::size_t n);
+  void wait_service(std::chrono::microseconds latency, std::size_t ops);
 
   block_device* inner_;
   params params_;
+  service_wait wait_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   int inflight_ = 0;

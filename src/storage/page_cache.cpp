@@ -46,6 +46,10 @@ page_cache::page_cache(block_device& dev, config cfg)
           "cache.dev_bytes_read")),
       m_dev_bytes_written_(obs::metrics_registry::instance().get_counter(
           "cache.dev_bytes_written")),
+      m_prefetched_(
+          obs::metrics_registry::instance().get_counter("cache.prefetched")),
+      m_prefetch_unused_(obs::metrics_registry::instance().get_counter(
+          "cache.prefetch_unused")),
       m_read_us_(
           obs::metrics_registry::instance().get_histogram("cache.read_us")),
       m_write_us_(
@@ -56,6 +60,8 @@ page_cache::page_cache(block_device& dev, config cfg)
     throw std::invalid_argument("page_cache: page_size and num_frames must be > 0");
   }
   frame_limit_ = cfg_.num_frames;
+  batch_frames_.reserve(cfg_.num_frames);
+  batch_reqs_.reserve(cfg_.num_frames);
   // Budget-pressure reaction: the cache is the engine's biggest elastic
   // consumer, so it volunteers its frame pool first.  Dispatch comes from
   // mem_pressure_poll with no cache locks held, so taking mu_ inside the
@@ -97,10 +103,7 @@ void page_cache::on_mem_pressure(obs::mem_pressure_level level) {
     for (std::size_t i = frame_limit_; i < frames_.size(); ++i) {
       frame& f = frames_[i];
       if (f.pins > 0 || f.loading || f.dirty) continue;
-      if (f.page_id != kNoPage) {
-        page_to_frame_.erase(f.page_id);
-        f.page_id = kNoPage;
-      }
+      if (f.page_id != kNoPage) unmap_locked(f);
       f.referenced = false;
       if (f.data.capacity() == 0) continue;
       f.data.clear();
@@ -187,9 +190,7 @@ void page_cache::fault_evict_locked() {
   for (std::size_t i = 0; i < frames_.size(); ++i) {
     frame& f = frames_[(start + i) % frames_.size()];
     if (f.page_id == kNoPage || f.pins > 0 || f.loading || f.dirty) continue;
-    page_to_frame_.erase(f.page_id);
-    f.page_id = kNoPage;
-    f.referenced = false;
+    unmap_locked(f);
     ++stats_.fault_evictions;
     obs::trace_instant("cache.fault_evict", "storage");
     return;
@@ -239,6 +240,7 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       }
       ++f.pins;
       f.referenced = true;
+      f.prefetched = false;
       ++f.touches;
       ++stats_.hits;
       // Widened gate (not counter::add): the time-series sampler diffs
@@ -300,28 +302,13 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
       continue;  // state changed while unlocked; restart the search
     }
 
-    if (f.page_id != kNoPage) {
-      obs::trace_instant("cache.evict", "storage", "page",
-                         static_cast<double>(f.page_id));
-      page_to_frame_.erase(f.page_id);
-      ++stats_.evictions;
-      if (obs::metrics_on() || obs::ts_on()) m_evictions_.add_raw(1);
-    }
-
     // Claim the frame and fault the page in with the lock released, so
     // hits (and other misses) proceed concurrently — the high-concurrency
     // requirement from paper §II-B.
-    f.page_id = page_id;
-    f.loading = true;
+    claim_locked(v, page_id);
     f.pins = 1;
-    f.referenced = true;
-    f.dirty = false;
     ++f.touches;
-    f.data.assign(cfg_.page_size, std::byte{0});
-    sync_frame_mem_locked(f);
-    page_to_frame_[page_id] = v;
     ++stats_.misses;
-    stats_.dev_bytes_read += cfg_.page_size;
     if (obs::metrics_on() || obs::ts_on()) {
       m_misses_.add_raw(1);
       m_dev_bytes_read_.add_raw(cfg_.page_size);
@@ -349,6 +336,106 @@ page_cache::page_ref page_cache::get(std::uint64_t page_id,
     }
     cv_.notify_all();
     return page_ref(this, v, page_id);
+  }
+}
+
+std::size_t page_cache::prefetch(std::span<const std::uint64_t> pages) {
+  if (pages.empty()) return 0;
+  const std::scoped_lock batch_lock(prefetch_mu_);
+  std::unique_lock lock(mu_);
+  const bool io_hist = obs::io_hist_on();
+  const bool metrics = obs::metrics_on() || obs::ts_on();
+  batch_frames_.clear();
+  batch_reqs_.clear();
+  std::chrono::nanoseconds io_delay{0};
+  for (const std::uint64_t page_id : pages) {
+    if (faults_on_ && fault_stream_.decide(cfg_.faults.evict_prob)) {
+      fault_evict_locked();
+    }
+    if (page_to_frame_.contains(page_id)) continue;  // resident or loading
+    const std::size_t v = find_victim_locked();
+    if (v == frames_.size() || frames_[v].dirty) break;
+    // Claimed like a miss but left unpinned: the referenced bit gives the
+    // page a second chance until its reader arrives.
+    claim_locked(v, page_id);
+    frames_[v].prefetched = true;
+    ++stats_.prefetched;
+    io_delay = std::max(io_delay, draw_io_delay_locked());
+    batch_frames_.push_back(v);
+    batch_reqs_.push_back({page_id * cfg_.page_size, frames_[v].data});
+  }
+  const std::size_t n = batch_frames_.size();
+  if (n == 0) return 0;
+  if (metrics) {
+    m_prefetched_.add_raw(n);
+    m_dev_bytes_read_.add_raw(n * cfg_.page_size);
+  }
+  const std::uint64_t r0 = io_hist ? now_us() : 0;
+  {
+    // One io_wait scope and one span for the whole batch (see get()).
+    const obs::phase_scope pscope(obs::phase::io_wait);
+    obs::trace_span span("cache.prefetch", "storage");
+    span.set_arg("pages", static_cast<double>(n));
+    lock.unlock();
+    dev_->read_batch(batch_reqs_);
+    if (io_delay.count() > 0) std::this_thread::sleep_for(io_delay);
+    lock.lock();
+  }
+  for (const std::size_t v : batch_frames_) frames_[v].loading = false;
+  if (io_hist) {
+    const std::uint64_t us = now_us() - r0;
+    for (std::size_t i = 0; i < n; ++i) {
+      stats_.read_us.add(us);
+      m_read_us_.record_raw(us);
+    }
+  }
+  lock.unlock();
+  cv_.notify_all();
+  return n;
+}
+
+std::size_t page_cache::prefetch_window() const {
+  std::size_t limit = 0;
+  {
+    const std::scoped_lock lock(mu_);
+    limit = frame_limit_;
+  }
+  const std::size_t quarter = std::max<std::size_t>(1, limit / 4);
+  const auto qd = static_cast<std::size_t>(std::max(1, dev_->queue_depth()));
+  return quarter < qd ? quarter : quarter - quarter % qd;
+}
+
+void page_cache::claim_locked(std::size_t v, std::uint64_t page_id) {
+  frame& f = frames_[v];
+  if (f.page_id != kNoPage) evict_locked(f);
+  f.page_id = page_id;
+  f.loading = true;
+  f.referenced = true;
+  f.dirty = false;
+  // The device fills the whole span, so the frame is only sized (a reused
+  // frame keeps its bytes until the read overwrites them).
+  f.data.resize(cfg_.page_size);
+  sync_frame_mem_locked(f);
+  page_to_frame_[page_id] = v;
+  stats_.dev_bytes_read += cfg_.page_size;
+}
+
+void page_cache::evict_locked(frame& f) {
+  obs::trace_instant("cache.evict", "storage", "page",
+                     static_cast<double>(f.page_id));
+  unmap_locked(f);
+  ++stats_.evictions;
+  if (obs::metrics_on() || obs::ts_on()) m_evictions_.add_raw(1);
+}
+
+void page_cache::unmap_locked(frame& f) {
+  page_to_frame_.erase(f.page_id);
+  f.page_id = kNoPage;
+  f.referenced = false;
+  if (f.prefetched) {
+    f.prefetched = false;
+    ++stats_.prefetch_unused;
+    if (obs::metrics_on() || obs::ts_on()) m_prefetch_unused_.add_raw(1);
   }
 }
 

@@ -9,6 +9,11 @@
 /// Eviction is CLOCK (second chance) over unpinned frames.  Pages are
 /// pinned while a page_ref is alive; pinned pages are never evicted.
 /// Dirty pages are written back on eviction and on flush_dirty().
+///
+/// prefetch() is the batched read path: a caller that knows which pages it
+/// will touch next (the level-synchronous BFS, core/bfs_hybrid.hpp) fills
+/// them with one block_device::read_batch, so a device with a queue model
+/// serves them in parallel instead of one latency per miss.
 #pragma once
 
 #include <array>
@@ -40,8 +45,12 @@ class page_cache {
   /// Decisions are deterministic per (seed, call index).  Inert by default.
   struct fault_hooks {
     std::uint64_t seed = 0;
-    double evict_prob = 0.0;     ///< per get(): drop one unpinned clean frame
-    double io_delay_prob = 0.0;  ///< per device read/write: sleep afterwards
+    /// per get() and per page a prefetch() lists: drop one unpinned clean
+    /// frame
+    double evict_prob = 0.0;
+    /// per device read/write (per page of a prefetch batch): sleep
+    /// afterwards; a batch sleeps its longest drawn delay
+    double io_delay_prob = 0.0;
     std::chrono::nanoseconds max_io_delay{0};
 
     [[nodiscard]] bool enabled() const noexcept {
@@ -103,6 +112,22 @@ class page_cache {
   page_ref get(std::uint64_t page_id) { return get(page_id, cfg_.page_size); }
   page_ref get(std::uint64_t page_id, std::size_t requested_bytes);
 
+  /// Best-effort readahead: fill the listed pages with one batched device
+  /// read, without pinning them.  Pages already resident or loading are
+  /// skipped.  Each remaining page takes a CLOCK victim inside the
+  /// effective frame bound; the victim must be clean and unpinned, and the
+  /// prefetch stops at the first page it cannot place (it never waits and
+  /// never writes back).  A fill counts in `prefetched` and
+  /// `dev_bytes_read`, not in `misses`; the page's first get() is a hit.
+  /// Returns the number of pages read.
+  std::size_t prefetch(std::span<const std::uint64_t> pages);
+
+  /// Pages one prefetch() should carry: a quarter of the effective frame
+  /// bound (so prefetched pages survive until they are used), rounded
+  /// down to whole device waves of queue_depth() pages when it holds at
+  /// least one.  At least 1.
+  [[nodiscard]] std::size_t prefetch_window() const;
+
   /// Write back every dirty page (does not evict).
   void flush_dirty();
 
@@ -128,6 +153,10 @@ class page_cache {
     /// stalled the miss on a writeback first (capacity evictions of clean
     /// frames stay in `evictions`, injected drops in `fault_evictions`).
     std::uint64_t evict_writeback = 0;
+    /// Readahead: pages filled by prefetch() (their device bytes are in
+    /// dev_bytes_read), and prefetched pages evicted before any get().
+    std::uint64_t prefetched = 0;
+    std::uint64_t prefetch_unused = 0;
     /// Per-operation latency histograms (µs), recorded only while
     /// obs::io_hist_on() — clock reads cost too much for the always-on
     /// path.  fault_us is the full miss service time a caller observed
@@ -167,6 +196,7 @@ class page_cache {
     bool dirty = false;
     bool loading = false;     ///< device I/O in flight for this frame
     bool referenced = false;  ///< CLOCK reference bit
+    bool prefetched = false;  ///< filled by prefetch(), no get() yet
     std::uint64_t touches = 0;  ///< hits + claims; heat_json() ranks by this
     std::vector<std::byte> data;
     /// Backing capacity currently charged to the memory ledger
@@ -185,6 +215,20 @@ class page_cache {
   };
 
   void unpin(std::size_t frame_idx);
+
+  /// Drop frame `f`'s page from the page table (caller holds the lock).
+  /// A prefetched page no get() reached counts as prefetch_unused.
+  void unmap_locked(frame& f);
+
+  /// Capacity eviction of the clean page in victim frame `f`: unmap it
+  /// and count it in `evictions` (caller holds the lock).
+  void evict_locked(frame& f);
+
+  /// Give victim frame `v` to `page_id`, evicting its clean page: mapped,
+  /// sized, marked loading and referenced, its fill counted in
+  /// dev_bytes_read.  The caller pins it or not and starts the read
+  /// (caller holds the lock).
+  void claim_locked(std::size_t v, std::uint64_t page_id);
   void mark_dirty(std::size_t frame_idx);
 
   /// Pick an evictable frame with the CLOCK hand; caller holds the lock.
@@ -228,6 +272,12 @@ class page_cache {
   int mem_cb_id_ = 0;  ///< pressure-callback registration (0 = none)
   cache_stats stats_;
   std::array<reuse_slot, 256> reuse_{};  // guarded by mu_
+  /// prefetch() batch buffers, reserved to num_frames at construction (a
+  /// batch never holds more frames than the pool) and reused.  Guarded by
+  /// prefetch_mu_: they are read by the unlocked device call.
+  std::mutex prefetch_mu_;
+  std::vector<std::size_t> batch_frames_;
+  std::vector<block_device::request> batch_reqs_;
   bool faults_on_ = false;
   util::chaos_stream fault_stream_;  // guarded by mu_
   /// Process-wide registry counters (handles cached at construction; each
@@ -241,6 +291,8 @@ class page_cache {
   obs::counter& m_bytes_requested_;
   obs::counter& m_dev_bytes_read_;
   obs::counter& m_dev_bytes_written_;
+  obs::counter& m_prefetched_;
+  obs::counter& m_prefetch_unused_;
   /// Registry twins of the per-instance latency histograms: process-wide,
   /// so every run report's metrics snapshot carries cache I/O latency.
   obs::histogram_metric& m_read_us_;
@@ -265,6 +317,8 @@ struct sfg::obs::stats_traits<sfg::storage::page_cache::cache_stats> {
       stats_field{"dev_bytes_read", &S::dev_bytes_read},
       stats_field{"dev_bytes_written", &S::dev_bytes_written},
       stats_field{"evict_writeback", &S::evict_writeback},
+      stats_field{"prefetched", &S::prefetched},
+      stats_field{"prefetch_unused", &S::prefetch_unused},
       stats_field{"read_us", &S::read_us},
       stats_field{"write_us", &S::write_us},
       stats_field{"fault_us", &S::fault_us},

@@ -33,6 +33,12 @@ class paged_array {
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] page_cache& cache() const noexcept { return *cache_; }
+
+  /// The device page holding element `i`.
+  [[nodiscard]] std::uint64_t page_of(std::size_t i) const {
+    return (base_ + i * sizeof(T)) / cache_->page_size();
+  }
 
   /// Random access; one page fault worst case.
   [[nodiscard]] T operator[](std::size_t i) const {
@@ -106,6 +112,19 @@ class paged_array {
       fn(cur.index(), cur.value());
       cur.advance();
     }
+  }
+
+  /// Apply `fn(value)` to elements [begin, end) until it returns false,
+  /// page-batched.  Returns true iff every element was visited.
+  template <typename Fn>
+  bool for_each_while(std::size_t begin, std::size_t end, Fn&& fn) const {
+    assert(end <= count_);
+    auto cur = scan(begin);
+    while (cur.index() < end) {
+      if (!fn(cur.value())) return false;
+      cur.advance();
+    }
+    return true;
   }
 
  private:

@@ -16,6 +16,13 @@
 /// actually take bottom-up levels (direction_switch_level >= 0), and on
 /// the path graph — frontier of one vertex per level — it must never
 /// leave top-down.
+///
+/// The level-synchronous modes also run on an external-memory RMAT graph
+/// (BfsModesExternal): adjacency on simulated NVRAM behind a page cache
+/// of at most 1/8 of each rank's pages, with injected evictions and I/O
+/// delays, so the per-level readahead (prefetched pages dropped before
+/// their scan, windows cut short by pinned or loading frames) is checked
+/// against the same serial reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +39,8 @@
 #include "graph/partitioner.hpp"
 #include "reference/serial_graph.hpp"
 #include "runtime/runtime.hpp"
+#include "storage/block_device.hpp"
+#include "storage/page_cache.hpp"
 #include "util/rng.hpp"
 
 namespace sfg::core {
@@ -190,6 +199,84 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(graph::partitioner_name(std::get<0>(info.param))) +
              "_" + family_name(std::get<1>(info.param)) + "_p" +
              std::to_string(std::get<2>(info.param));
+    });
+
+class BfsModesExternal
+    : public ::testing::TestWithParam<std::tuple<bfs_mode, int>> {};
+
+TEST_P(BfsModesExternal, ReadaheadMatchesSerial) {
+  const auto [mode, p] = GetParam();
+  gen::rmat_config rc{.scale = 10, .edge_factor = 8, .seed = 1207};
+  const auto edges = gen::rmat_slice(rc, 0, rc.num_edges());
+  const std::uint64_t source_gid = edges.front().src;
+  const auto ref = reference::serial_graph::from_edges(edges);
+  const auto exp = reference::serial_bfs(ref, source_gid);
+
+  launch(p, [&, mode = mode, p = p](comm& c) {
+    const auto range = gen::slice_for_rank(edges.size(), c.rank(), p);
+    std::vector<edge64> mine(
+        edges.begin() + static_cast<std::ptrdiff_t>(range.begin),
+        edges.begin() + static_cast<std::ptrdiff_t>(range.end));
+    constexpr std::size_t kPage = 256;
+    graph::partition_blueprint bp =
+        graph::build_partition(c, std::move(mine), {});
+    storage::memory_device raw;
+    storage::sim_nvram_device nvram(
+        raw, {std::chrono::microseconds(10), std::chrono::microseconds(10), 8});
+    storage::write_array<std::uint64_t>(nvram, 0, bp.adj_bits);
+    const std::size_t pages =
+        (bp.adj_bits.size() * sizeof(std::uint64_t) + kPage - 1) / kPage;
+    storage::page_cache::config ccfg{kPage,
+                                     std::max<std::size_t>(1, pages / 8)};
+    ccfg.faults.seed = 31 + static_cast<std::uint64_t>(c.rank());
+    ccfg.faults.evict_prob = 0.05;
+    ccfg.faults.io_delay_prob = 0.05;
+    ccfg.faults.max_io_delay = std::chrono::microseconds(200);
+    storage::page_cache cache(nvram, ccfg);
+    graph::external_edges store(cache, 0, bp.adj_bits.size());
+    bp.adj_bits.clear();
+    graph::distributed_graph<graph::external_edges> g(c, std::move(bp),
+                                                      std::move(store));
+    const auto source = g.locate(source_gid);
+    ASSERT_TRUE(source.valid());
+
+    hybrid_bfs_config cfg;
+    cfg.mode = mode;
+    auto result = run_bfs_mode(g, source, cfg);
+    const auto levels = gather_global(c, g, [&](std::size_t s) {
+      return result.state.local(s).level;
+    });
+    for (const auto& [gid, level] : levels) {
+      ASSERT_EQ(level, exp[gid]) << "vertex " << gid;
+    }
+    const auto v = validate_bfs(g, source, result.state, {});
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.level_violations, 0u);
+    EXPECT_EQ(v.structural_violations, 0u);
+    EXPECT_EQ(v.tree_edges_found, v.tree_edges_expected);
+    if (mode == bfs_mode::hybrid) {
+      EXPECT_GE(result.direction_switch_level, 0);
+    }
+
+    // The readahead ran on every rank, and the faults it must survive
+    // fired (summed over ranks: a small rank draws few of them).
+    const auto st = cache.stats();
+    EXPECT_GT(st.prefetched, 0u);
+    EXPECT_EQ(st.dev_bytes_read, (st.misses + st.prefetched) * kPage);
+    const auto sum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
+    EXPECT_GT(c.all_reduce(st.fault_evictions, sum), 0u);
+    EXPECT_GT(c.all_reduce(st.fault_io_delays, sum), 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Em, BfsModesExternal,
+    ::testing::Combine(::testing::Values(bfs_mode::topdown, bfs_mode::bottomup,
+                                         bfs_mode::hybrid),
+                       ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<BfsModesExternal::ParamType>& info) {
+      return std::string(bfs_mode_name(std::get<0>(info.param))) + "_p" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // The α/β config fields must reach the heuristic: α so small top-down

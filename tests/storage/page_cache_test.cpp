@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -271,6 +274,271 @@ TEST(PageCache, RegistryDeltasMatchLocalStatsAndSurviveReset) {
   EXPECT_EQ(r_hits.value() - hits1, 1u);
 
   obs::set_metrics_enabled(saved);
+}
+
+// ---------------------------------------------------------------------------
+// prefetch(): the batched readahead path
+// ---------------------------------------------------------------------------
+
+/// Device that counts reads and writes and holds reads of one offset
+/// until opened, so a test can keep a page mid-load.
+class gated_device final : public block_device {
+ public:
+  gated_device(block_device& inner, std::uint64_t gated_offset)
+      : inner_(&inner), gated_(gated_offset) {}
+
+  void read(std::uint64_t offset, std::span<std::byte> out) override {
+    if (offset == gated_) {
+      std::unique_lock lk(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lk, [&] { return open_; });
+    }
+    reads.fetch_add(1);
+    inner_->read(offset, out);
+  }
+  void write(std::uint64_t offset, std::span<const std::byte> data) override {
+    writes.fetch_add(1);
+    inner_->write(offset, data);
+  }
+  [[nodiscard]] std::uint64_t size_bytes() const override {
+    return inner_->size_bytes();
+  }
+
+  void wait_entered() {
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return entered_; });
+  }
+  void open() {
+    const std::scoped_lock lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  std::atomic<int> reads{0};
+  std::atomic<int> writes{0};
+
+ private:
+  block_device* inner_;
+  std::uint64_t gated_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+std::vector<std::uint64_t> page_ids(std::uint64_t first, std::uint64_t last) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t p = first; p <= last; ++p) out.push_back(p);
+  return out;
+}
+
+TEST(PageCachePrefetch, SkipsResidentAndLoadingPages) {
+  memory_device mem;
+  fill_device(mem, 8);
+  gated_device dev(mem, 2 * kPage);
+  page_cache cache(dev, {kPage, 8});
+  (void)cache.get(0);  // resident
+  std::thread loader([&] {
+    const auto ref = cache.get(2);  // parks mid-load in the device
+    EXPECT_TRUE(page_matches(ref.data(), 2));
+  });
+  dev.wait_entered();
+  const std::vector<std::uint64_t> want = {0, 2, 3};
+  EXPECT_EQ(cache.prefetch(want), 1u);  // only page 3 is read
+  dev.open();
+  loader.join();
+  EXPECT_EQ(dev.reads.load(), 3);  // 0 and 2 on demand, 3 prefetched
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.prefetched, 1u);
+  EXPECT_EQ(s.dev_bytes_read, 3u * kPage);
+  EXPECT_TRUE(page_matches(cache.get(3).data(), 3));
+  EXPECT_EQ(dev.reads.load(), 3);
+}
+
+TEST(PageCachePrefetch, PinnedFramesAreNeverVictims) {
+  memory_device dev;
+  fill_device(dev, 16);
+  page_cache cache(dev, {kPage, 4});
+  std::vector<page_cache::page_ref> pins;
+  for (std::uint64_t p = 0; p < 4; ++p) pins.push_back(cache.get(p));
+  // Every frame pinned: the prefetch places nothing and does not wait.
+  EXPECT_EQ(cache.prefetch(page_ids(4, 7)), 0u);
+  pins.resize(2);  // unpin pages 2 and 3
+  EXPECT_EQ(cache.prefetch(page_ids(4, 7)), 2u);
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(page_matches(pins[p].data(), p));
+  }
+  EXPECT_TRUE(page_matches(cache.get(4).data(), 4));
+  EXPECT_TRUE(page_matches(cache.get(5).data(), 5));
+  EXPECT_EQ(cache.stats().prefetched, 2u);
+  EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST(PageCachePrefetch, NeverWritesBack) {
+  memory_device mem;
+  fill_device(mem, 8);
+  gated_device dev(mem, ~std::uint64_t{0});
+  page_cache cache(dev, {kPage, 2});
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    auto ref = cache.get(p);
+    ref.mutable_data()[0] = std::byte{0x5A};
+  }
+  // Both frames are dirty: the prefetch stops at its first page.
+  EXPECT_EQ(cache.prefetch(page_ids(2, 3)), 0u);
+  EXPECT_EQ(dev.writes.load(), 0);
+  EXPECT_EQ(cache.stats().writebacks, 0u);
+  // Once the pages are clean the same prefetch proceeds.
+  cache.flush_dirty();
+  EXPECT_EQ(dev.writes.load(), 2);
+  EXPECT_EQ(cache.prefetch(page_ids(2, 3)), 2u);
+  EXPECT_EQ(dev.writes.load(), 2);
+}
+
+TEST(PageCachePrefetch, RespectsTheFrameLimitAfterAPressureShrink) {
+  const bool saved_mem = obs::detail::toggles().mem.load();
+  const std::uint64_t saved_budget = obs::mem_budget();
+  obs::set_mem_enabled(true);
+  obs::set_mem_budget(0);
+  obs::mem_clear();
+  {
+    memory_device dev;
+    fill_device(dev, 32);
+    page_cache cache(dev, {kPage, 16});
+    EXPECT_EQ(cache.prefetch_window(), 4u);
+    // Push the ledger past the budget: soft then hard halves the bound
+    // twice, 16 -> 8 -> 4 frames.
+    obs::set_mem_budget(1000);
+    obs::mem_tracker hog(obs::mem_subsystem::frontier);
+    hog.set(4000);
+    obs::mem_pressure_poll();
+    EXPECT_EQ(cache.prefetch_window(), 1u);
+    EXPECT_EQ(cache.prefetch(page_ids(0, 9)), 4u);
+    EXPECT_EQ(obs::mem_snapshot(-1).cache_frames, 4.0 * kPage);
+    for (std::uint64_t p = 0; p < 4; ++p) {
+      EXPECT_TRUE(page_matches(cache.get(p).data(), p));
+    }
+    EXPECT_EQ(cache.stats().hits, 4u);
+    hog.set(0);
+    obs::set_mem_budget(0);
+  }
+  obs::mem_clear();
+  obs::set_mem_budget(saved_budget);
+  obs::set_mem_enabled(saved_mem);
+}
+
+TEST(PageCachePrefetch, WindowIsWholeDeviceWavesInAQuarterOfTheFrames) {
+  memory_device dev;
+  sim_nvram_device nvram(dev, {std::chrono::microseconds(1),
+                               std::chrono::microseconds(1), 8});
+  EXPECT_EQ(page_cache(nvram, {kPage, 128}).prefetch_window(), 32u);
+  EXPECT_EQ(page_cache(nvram, {kPage, 100}).prefetch_window(), 24u);
+  EXPECT_EQ(page_cache(nvram, {kPage, 20}).prefetch_window(), 5u);
+  EXPECT_EQ(page_cache(nvram, {kPage, 2}).prefetch_window(), 1u);
+  EXPECT_EQ(page_cache(dev, {kPage, 20}).prefetch_window(), 5u);
+}
+
+TEST(PageCachePrefetch, PageDroppedByFaultEvictionRefaults) {
+  memory_device dev;
+  fill_device(dev, 4);
+  page_cache::config cfg{kPage, 4};
+  cfg.faults.seed = 9;
+  cfg.faults.evict_prob = 1.0;  // every get() drops a clean frame first
+  page_cache cache(dev, cfg);
+  EXPECT_EQ(cache.prefetch(page_ids(1, 1)), 1u);
+  const auto ref = cache.get(1);  // the injected drop takes page 1
+  EXPECT_TRUE(page_matches(ref.data(), 1));
+  const auto s = cache.stats();
+  EXPECT_EQ(s.fault_evictions, 1u);
+  EXPECT_EQ(s.prefetched, 1u);
+  EXPECT_EQ(s.prefetch_unused, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.dev_bytes_read, 2u * kPage);
+}
+
+TEST(PageCachePrefetch, AccountingAndStatsTraitsRoundTrip) {
+  const bool saved = obs::metrics_on();
+  obs::set_metrics_enabled(true);
+  auto& reg = obs::metrics_registry::instance();
+  auto& r_prefetched = reg.get_counter("cache.prefetched");
+  auto& r_unused = reg.get_counter("cache.prefetch_unused");
+  auto& r_dev_read = reg.get_counter("cache.dev_bytes_read");
+  const std::uint64_t prefetched0 = r_prefetched.value();
+  const std::uint64_t unused0 = r_unused.value();
+  const std::uint64_t dev_read0 = r_dev_read.value();
+
+  memory_device dev;
+  fill_device(dev, 16);
+  page_cache cache(dev, {kPage, 8});
+  EXPECT_EQ(cache.prefetch(page_ids(0, 3)), 4u);
+  // A prefetched page's first get() is a hit, and so is every later one.
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(page_matches(cache.get(p).data(), p));
+    EXPECT_TRUE(page_matches(cache.get(p).data(), p));
+  }
+  // Eight demand misses cycle the pool: pages 2 and 3 go unread.
+  for (std::uint64_t p = 8; p < 16; ++p) (void)cache.get(p);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits, 4u);
+  EXPECT_EQ(s.misses, 8u);
+  EXPECT_EQ(s.prefetched, 4u);
+  EXPECT_EQ(s.prefetch_unused, 2u);
+  EXPECT_EQ(s.dev_bytes_read, 12u * kPage);
+  EXPECT_EQ(r_prefetched.value() - prefetched0, s.prefetched);
+  EXPECT_EQ(r_unused.value() - unused0, s.prefetch_unused);
+  EXPECT_EQ(r_dev_read.value() - dev_read0, s.dev_bytes_read);
+
+  // The new fields travel through the shared stats conventions.
+  const obs::json j = obs::stats_to_json(s);
+  ASSERT_NE(j.find("prefetched"), nullptr);
+  EXPECT_EQ(j.find("prefetched")->as_u64(), 4u);
+  ASSERT_NE(j.find("prefetch_unused"), nullptr);
+  EXPECT_EQ(j.find("prefetch_unused")->as_u64(), 2u);
+  page_cache::cache_stats twice = s;
+  obs::stats_add(twice, s);
+  EXPECT_EQ(twice.prefetched, 8u);
+  EXPECT_EQ(obs::stats_delta(twice, s).prefetch_unused, 2u);
+  obs::stats_reset(twice);
+  EXPECT_EQ(twice.prefetched, 0u);
+  obs::set_metrics_enabled(saved);
+}
+
+TEST(PageCachePrefetch, ConcurrentPrefetchAndGetSeeConsistentData) {
+  memory_device dev;
+  constexpr std::size_t kPages = 96;
+  fill_device(dev, kPages);
+  sim_nvram_device nvram(dev, {std::chrono::microseconds(20),
+                               std::chrono::microseconds(20), 8});
+  page_cache cache(nvram, {kPage, 24});
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> gets{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      auto rng = util::make_stream(71, static_cast<std::uint64_t>(t));
+      std::vector<std::uint64_t> window;
+      for (int i = 0; i < 150; ++i) {
+        const std::uint64_t first = rng.uniform_below(kPages - 6);
+        if (t % 2 == 0) {
+          window = page_ids(first, first + 5);
+          (void)cache.prefetch(window);
+        }
+        for (std::uint64_t p = first; p < first + 6; ++p) {
+          const auto ref = cache.get(p);
+          gets.fetch_add(1);
+          if (!page_matches(ref.data(), p)) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, gets.load());
+  EXPECT_GT(s.prefetched, 0u);
+  EXPECT_EQ(s.dev_bytes_read, (s.misses + s.prefetched) * kPage);
 }
 
 }  // namespace
